@@ -25,7 +25,10 @@
 //! Run with `cargo run --release -p colibri-bench --bin repro_pipeline`.
 
 use colibri::base::Instant;
-use colibri::dataplane::{CryptoCacheConfig, RouterConfig, RouterVerdict, ShardRouterPool};
+use colibri::dataplane::{
+    BorderRouter, CryptoCacheConfig, Outcome, Output, RouterConfig, RouterShardStats,
+    RouterVerdict, ShardPool, Stage, TrafficClass,
+};
 use colibri_bench::{bench_gateway, bench_router, bench_router_cached, stamped_packets, SRC_HOST};
 
 const HOPS: [usize; 3] = [4, 8, 16];
@@ -431,6 +434,54 @@ fn cache_hit_sweep(hot_fraction: f64, iters: usize) -> CacheSweepRow {
     CacheSweepRow { target_hot_fraction: hot_fraction, measured_hit_rate, cached_mpps, uncached_mpps }
 }
 
+/// The sweep's router stage. Each job carries whether it may be steered,
+/// so the steered rows and their round-robin twins run the very same pool
+/// and worker code and differ only in dispatch: a round-robin job takes
+/// the pool's fallback, and every shard's caches see the whole working
+/// set — the pre-steering baseline.
+struct Swept(BorderRouter);
+
+impl Stage for Swept {
+    type Job = (Vec<u8>, bool);
+    type Verdict = RouterVerdict;
+    type Stats = RouterShardStats;
+    const NAME: &'static str = "router";
+
+    fn steer((pkt, steered): &(Vec<u8>, bool)) -> Option<colibri::base::ResId> {
+        if *steered {
+            <BorderRouter as Stage>::steer(pkt)
+        } else {
+            None
+        }
+    }
+
+    fn process(
+        &mut self,
+        jobs: &mut [(Vec<u8>, bool)],
+        now: Instant,
+        verdicts: &mut Vec<RouterVerdict>,
+    ) {
+        let mut refs: Vec<&mut [u8]> = jobs.iter_mut().map(|(p, _)| p.as_mut_slice()).collect();
+        verdicts.extend(self.0.process_batch(&mut refs, now));
+    }
+
+    fn stats(&self) -> RouterShardStats {
+        Stage::stats(&self.0)
+    }
+
+    fn processed(stats: &RouterShardStats) -> u64 {
+        <BorderRouter as Stage>::processed(stats)
+    }
+
+    fn attach_telemetry(&mut self, registry: &colibri::telemetry::Registry, shard: &str) {
+        self.0.attach_telemetry(registry, shard);
+    }
+
+    fn recycle((pkt, _): (Vec<u8>, bool), free: &mut Vec<Vec<u8>>) {
+        <BorderRouter as Stage>::recycle(pkt, free);
+    }
+}
+
 fn shard_sweep(shards: usize, packets: usize, steered: bool) -> ShardRow {
     let now = Instant::from_secs(10);
     let hops = 8usize;
@@ -448,56 +499,48 @@ fn shard_sweep(shards: usize, packets: usize, steered: bool) -> ShardRow {
     // Queues sized to hold the full run so the driver never blocks on
     // submit; it sleeps (not spins) while draining, so the process CPU
     // time below is worker time.
-    let mut pool = ShardRouterPool::new(shards, packets + 1, move |_| {
-        colibri::dataplane::BorderRouter::new(ases[1], &master, cfg)
-    });
-    let submit = |pool: &mut ShardRouterPool, buf: Vec<u8>| {
-        if steered {
-            pool.submit(buf, now);
-        } else {
-            pool.submit_round_robin(buf, now);
-        }
+    let make = move |_| Swept(BorderRouter::new(ases[1], &master, cfg));
+    let mut pool = ShardPool::new(shards, packets + 1, make);
+    let submit = |pool: &mut ShardPool<Swept>, i: usize, outs: &mut Vec<Output<Swept>>| {
+        let mut buf = pool.buffer();
+        buf.extend_from_slice(&pkts[i % pkts.len()]);
+        pool.submit((buf, steered), TrafficClass::ColibriData, now, outs);
     };
 
     // Warm-up: push one queue-batch through each shard.
-    for i in 0..shards * 64 {
-        let mut buf = pool.buffer();
-        buf.extend_from_slice(&pkts[i % pkts.len()]);
-        submit(&mut pool, buf);
-    }
     let mut outs = Vec::new();
+    for i in 0..shards * 64 {
+        submit(&mut pool, i, &mut outs);
+    }
     while outs.len() < shards * 64 {
         pool.try_drain(&mut outs, usize::MAX);
         std::thread::sleep(std::time::Duration::from_micros(100));
     }
     for o in outs.drain(..) {
-        assert!(matches!(o.verdict, RouterVerdict::Forward(_)));
+        assert!(matches!(o.outcome, Outcome::Done(RouterVerdict::Forward(_))));
         pool.recycle(o);
     }
 
     let cpu0 = process_cpu_seconds();
     let t0 = std::time::Instant::now();
     for i in 0..packets {
-        let mut buf = pool.buffer();
-        buf.extend_from_slice(&pkts[i % pkts.len()]);
-        submit(&mut pool, buf);
+        submit(&mut pool, i, &mut outs);
     }
     let mut done = 0usize;
     while done < packets {
-        let got = pool.try_drain(&mut outs, usize::MAX);
-        done += got;
+        if pool.try_drain(&mut outs, usize::MAX) == 0 && outs.is_empty() {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+        done += outs.len();
         for o in outs.drain(..) {
             pool.recycle(o);
-        }
-        if got == 0 {
-            std::thread::sleep(std::time::Duration::from_micros(100));
         }
     }
     let wall = t0.elapsed().as_secs_f64();
     let cpu_seconds = process_cpu_seconds() - cpu0;
 
     let snap = pool.shutdown(&mut outs);
-    let (stats, cache_stats) = (snap.stats, snap.cache);
+    let (stats, cache_stats) = (snap.stats.router, snap.stats.cache);
     assert_eq!(stats.bad_hvf, 0);
     // Per-shard measured throughput: each shard's share of the measured
     // run against the same wall clock. `submitted` includes the warm-up
@@ -814,8 +857,7 @@ mod survivability {
 
     use colibri::base::Instant;
     use colibri::dataplane::{
-        DropReason, RouterVerdict, ShardOutcome, SubmitVerdict, SupervisedRouterPool,
-        TrafficClass,
+        DropReason, Outcome, RouterVerdict, ShardPool, SubmitVerdict, TrafficClass,
     };
     use colibri::sim::{AttackGen, AttackKind};
     use colibri_bench::{bench_gateway, bench_router, stamped_packets};
@@ -900,7 +942,7 @@ mod survivability {
             stamped_packets(&mut gw, &ids[..1], 64, 1, 0, now).pop().expect("template");
         let mut gen = AttackGen::new(0xF100D, template);
         let shards = 2usize;
-        let mut pool = SupervisedRouterPool::new(shards, 64, move |_| bench_router(N_HOPS, 0));
+        let mut pool = ShardPool::new(shards, 64, move |_| bench_router(N_HOPS, 0));
         let mut outs = Vec::new();
         let mut attack_offered = 0u64;
         let reserved_pkts = stamped_packets(&mut gw, &ids, 64, reserved as usize, 0, now);
@@ -921,16 +963,16 @@ mod survivability {
                     }
                     kind => gen.next(kind),
                 };
-                pool.submit_classed(frame, TrafficClass::BestEffort, now, &mut outs);
+                pool.submit(frame, TrafficClass::BestEffort, now, &mut outs);
                 attack_offered += 1;
             }
-            let v = pool.submit_classed(pkt, TrafficClass::ColibriData, now, &mut outs);
+            let v = pool.submit(pkt, TrafficClass::ColibriData, now, &mut outs);
             assert_eq!(v, SubmitVerdict::Enqueued, "reserved traffic must never shed");
         }
         let snap = pool.shutdown(&mut outs);
         assert!(snap.balanced(), "flood ledger unbalanced: {snap:?}");
-        let forwarded = snap.stats.forwarded;
-        let attack_dropped = snap.stats.processed() - forwarded;
+        let forwarded = snap.stats.router.forwarded;
+        let attack_dropped = snap.stats.router.processed() - forwarded;
         (
             reserved,
             forwarded,
@@ -946,27 +988,27 @@ mod survivability {
     fn kill_recovery(per_phase: u64) -> (u64, u64, u64, u64, u64, bool) {
         let now = Instant::from_secs(120);
         let (mut gw, ids) = bench_gateway(N_HOPS, 1 << 6, now);
-        let mut pool = SupervisedRouterPool::new(1, 64, move |_| bench_router(N_HOPS, 0));
+        let mut pool = ShardPool::new(1, 64, move |_| bench_router(N_HOPS, 0));
         let mut outs = Vec::new();
         let phase1 = stamped_packets(&mut gw, &ids, 64, per_phase as usize, 0, now);
         for pkt in phase1 {
-            pool.submit_classed(pkt, TrafficClass::ColibriData, now, &mut outs);
+            pool.submit(pkt, TrafficClass::ColibriData, now, &mut outs);
         }
         pool.kill_shard(0, &mut outs);
         let phase2 = stamped_packets(&mut gw, &ids, 64, per_phase as usize, 0, now);
         for pkt in phase2 {
-            pool.submit_classed(pkt, TrafficClass::ColibriData, now, &mut outs);
+            pool.submit(pkt, TrafficClass::ColibriData, now, &mut outs);
         }
         let snap = pool.shutdown(&mut outs);
         // Sanity: everything that reached a router either forwarded or
         // is explicitly accounted.
         let _ = outs
             .iter()
-            .filter(|o| matches!(o.outcome, ShardOutcome::Verdict(RouterVerdict::Forward(_))))
+            .filter(|o| matches!(o.outcome, Outcome::Done(RouterVerdict::Forward(_))))
             .count();
         (
             snap.submitted,
-            snap.stats.processed(),
+            snap.stats.router.processed(),
             snap.panic_discarded,
             snap.lost_to_kill,
             snap.respawns,

@@ -25,7 +25,9 @@
 //! Run with `cargo run --release -p colibri-bench --bin repro_qos`.
 
 use colibri::base::{Bandwidth, Duration, HostAddr, Instant, ResId};
-use colibri::dataplane::{Gateway, GatewayConfig, QosMode, ShardedGateway, TrafficClass};
+use colibri::dataplane::{
+    Gateway, GatewayConfig, GatewayShardStats, Merge, QosMode, Stage, TrafficClass,
+};
 use colibri::qdisc::{HtbConfig, QdiscStats};
 use colibri_bench::{synthetic_owned_eer, Xor64};
 
@@ -94,12 +96,12 @@ struct IsolationResult {
 /// the subscriber population floods best-effort at 4× the uplink.
 fn isolation_run(sc: &Scenario) -> IsolationResult {
     let t0 = Instant::from_secs(1);
-    let mut sg = ShardedGateway::new(
-        sc.shards,
-        GatewayConfig { burst: Duration::from_millis(50), qos: QosMode::Hierarchical(sc.htb()) },
-    );
-    for s in 0..sc.shards {
-        let q = sg.shard_mut(s).qdisc_mut().expect("hierarchical shard");
+    // Share-nothing shards, each with a private hierarchy.
+    let cfg =
+        GatewayConfig { burst: Duration::from_millis(50), qos: QosMode::Hierarchical(sc.htb()) };
+    let mut shards: Vec<Gateway> = (0..sc.shards).map(|_| Gateway::new(cfg)).collect();
+    for gw in &mut shards {
+        let q = gw.qdisc_mut().expect("hierarchical shard");
         for r in 0..sc.reservations {
             q.install(ResId(r as u32), TrafficClass::ColibriData, sc.res_rate, t0);
         }
@@ -121,8 +123,8 @@ fn isolation_run(sc: &Scenario) -> IsolationResult {
     let mut now = t0;
     for tick in 0..sc.ticks {
         now += TICK;
-        for s in 0..sc.shards {
-            let q = sg.shard_mut(s).qdisc_mut().expect("hierarchical shard");
+        for gw in &mut shards {
+            let q = gw.qdisc_mut().expect("hierarchical shard");
             for r in 0..sc.reservations {
                 for _ in 0..res_pkts_per_tick {
                     offered_reserved_bytes += PKT;
@@ -151,12 +153,16 @@ fn isolation_run(sc: &Scenario) -> IsolationResult {
     }
     let drive_ns = wall.elapsed().as_nanos();
 
-    // The pool snapshot path: the sharded merge must equal the manual
-    // per-shard sum (this is what ParallelGateway workers report back).
-    let merged = sg.qos_stats().expect("hierarchical bank has qos stats");
+    // The pool snapshot path: the merge a `ShardPool<Gateway>` snapshot
+    // performs over its shards must equal the manual per-shard sum.
+    let mut pooled = GatewayShardStats::default();
+    for gw in &shards {
+        pooled.merge(&Stage::stats(gw));
+    }
+    let merged = pooled.qos.expect("hierarchical bank has qos stats");
     let mut manual = QdiscStats::default();
-    for s in 0..sc.shards {
-        manual.merge(&sg.shard_mut(s).qos_stats().expect("shard stats"));
+    for gw in &shards {
+        manual.merge(&gw.qos_stats().expect("shard stats"));
     }
     let merge_ok = merged == manual;
 

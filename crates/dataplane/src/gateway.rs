@@ -167,6 +167,9 @@ pub struct GatewayStats {
     pub rate_limited: u64,
     /// Packets dropped for other reasons.
     pub rejected: u64,
+    /// [`Gateway::install`] calls (installs, refreshes and rejected
+    /// EERs alike).
+    pub installs: u64,
 }
 
 impl GatewayStats {
@@ -175,6 +178,7 @@ impl GatewayStats {
         self.forwarded += other.forwarded;
         self.rate_limited += other.rate_limited;
         self.rejected += other.rejected;
+        self.installs += other.installs;
     }
 }
 
@@ -213,6 +217,7 @@ impl Gateway {
     /// here, so a long-lived gateway's memory is bounded by its *live*
     /// versions, not by every version a reservation ever had.
     pub fn install(&mut self, eer: &OwnedEer, now: Instant) {
+        self.stats.installs += 1;
         if eer.hop_fields.is_empty() || eer.hop_fields.len() > colibri_wire::MAX_HOPS {
             self.table.remove(&eer.key.res_id);
             if let Some(q) = &mut self.qdisc {

@@ -14,6 +14,11 @@
 //! * [`crypto_cache`] — bounded, eviction-safe caches that amortize the
 //!   router's Eq. 3/4 MACs and AES key expansions across packets of the
 //!   same reservation (DESIGN.md §10);
+//! * [`pool`] — the multi-core deployment (§7.2): one supervised
+//!   [`ShardPool`] runs either stage — [`Gateway`] or [`BorderRouter`] —
+//!   on worker threads with reservation-ID steering, class-aware
+//!   backpressure, panic containment and an exact job ledger
+//!   (DESIGN.md §9);
 //! * [`telemetry`] — opt-in bindings onto the `colibri-telemetry`
 //!   registry: verdict/cache/outcome counters and batch/latency
 //!   histograms, recorded as stats-struct deltas so the Invariant
@@ -27,24 +32,35 @@ pub mod classes;
 pub mod control;
 pub mod crypto_cache;
 pub mod gateway;
-pub mod parallel;
+pub mod pool;
 pub mod router;
-pub mod sharded;
-pub mod supervisor;
 pub mod telemetry;
+
+// Shard-pool test suites, one per deployment the pool serves: parallel
+// gateway and router pools, gateway shards addressed by reservation, and
+// supervision. They share the fixtures of `pool::tests` and the
+// fault-injecting `faulty::Faulty` stage.
+#[cfg(test)]
+#[path = "pool_tests/pools.rs"]
+mod parallel;
+#[cfg(test)]
+#[path = "pool_tests/steering.rs"]
+mod sharded;
+#[cfg(test)]
+#[path = "pool_tests/supervision.rs"]
+mod supervisor;
+#[cfg(test)]
+#[path = "pool_tests/faulty.rs"]
+mod faulty;
 
 pub use classes::{CbwfqScheduler, Served, TrafficClass, TrafficSplit};
 pub use control::stamp_segr_packet;
 pub use crypto_cache::{ClockCache, CryptoCacheConfig, CryptoCacheStats, RouterCryptoCaches};
 pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats, QosMode, StampedPacket};
-pub use parallel::{
-    GatewayPoolSnapshot, ParallelGateway, RoutedOutput, RouterPoolSnapshot, RouterShardSnapshot,
-    ShardRouterPool, StampedOutput,
+pub use pool::{
+    shard_index, GatewayJob, GatewayShardStats, GatewayVerdict, Merge, Outcome, Output,
+    PoolSnapshot, RouterShardStats, ShardHealthReport, ShardPool, ShardSnapshot, Stage,
+    SubmitError, SubmitVerdict,
 };
 pub use router::{BorderRouter, DropReason, RouterConfig, RouterStats, RouterVerdict};
-pub use sharded::{shard_index, ShardedGateway};
-pub use supervisor::{
-    ShardHealthReport, ShardOutcome, SubmitError, SubmitVerdict, SupervisedOutput,
-    SupervisedRouterPool, SupervisedShardSnapshot, SupervisorSnapshot,
-};
 pub use telemetry::{GatewayTelemetry, RouterTelemetry};

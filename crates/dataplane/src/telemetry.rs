@@ -5,8 +5,8 @@
 //! single predictable branch per packet. `attach_telemetry` registers the
 //! component's metrics under an explicit shard label in a caller-owned
 //! [`Registry`] — per-instance registries keep tests isolated, and the
-//! `parallel` drivers register one shard per worker so scrapes show both
-//! the per-shard split and the cross-shard merge.
+//! shard pools ([`crate::pool`]) register one shard per worker so
+//! scrapes show both the per-shard split and the cross-shard merge.
 //!
 //! The router records its verdict and cache counters as **deltas of the
 //! existing stats structs** at the end of `process`/`process_batch`

@@ -12,19 +12,20 @@
 //!    the HVF does and does not bind.
 //! 2. **Structured-mutation properties** — random multi-byte mutations,
 //!    random frames, and batch-vs-scalar agreement on hostile input.
-//! 3. **Survivability integration** — a supervised pool under a 4×
-//!    best-effort forgery flood keeps 100% reserved goodput, and a
-//!    mid-run shard kill recovers by respawn with the packet-conservation
-//!    ledger balancing exactly.
+//! 3. **Survivability integration** — a shard pool under a 4×
+//!    best-effort forgery flood keeps 100% reserved goodput, a mid-run
+//!    shard kill recovers by respawn with the job-conservation ledger
+//!    balancing exactly, and a panicking router or gateway shard is
+//!    contained.
 
 use colibri_base::{
-    Bandwidth, Duration, HostAddr, Instant, IsdAsId, ResId, ReservationKey,
+    Bandwidth, Duration, HostAddr, Instant, InterfaceId, IsdAsId, ResId, ReservationKey,
 };
 use colibri_crypto::{Epoch, Key, SecretValueGen};
 use colibri_ctrl::{master_secret_for, OwnedEer, OwnedEerVersion};
 use colibri_dataplane::{
-    BorderRouter, DropReason, Gateway, GatewayConfig, RouterConfig, RouterVerdict, ShardOutcome,
-    SubmitVerdict, SupervisedRouterPool, TrafficClass,
+    BorderRouter, DropReason, Gateway, GatewayConfig, GatewayError, GatewayJob, GatewayVerdict,
+    Outcome, Output, RouterConfig, RouterVerdict, ShardPool, Stage, SubmitVerdict, TrafficClass,
 };
 use colibri_wire::mac::{eer_hvf, hop_auth};
 use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo};
@@ -258,9 +259,8 @@ proptest! {
     }
 }
 
-/// A gateway holding one reservation whose packets authenticate at
-/// [`router`]-built routers (the reserved-traffic source).
-fn auth_gateway(res_id: u32, now: Instant) -> Gateway {
+/// A reservation whose packets authenticate at [`router`]-built routers.
+fn auth_eer(res_id: u32, now: Instant) -> OwnedEer {
     let epoch = Epoch::containing(now);
     let k_i = SecretValueGen::new(&master_secret_for(AS_ID)).secret_value(epoch).cmac();
     let res_info = ResInfo {
@@ -273,7 +273,7 @@ fn auth_gateway(res_id: u32, now: Instant) -> Gateway {
     let eer_info = EerInfo { src_host: HostAddr(7), dst_host: HostAddr(8) };
     let hop = HopField::new(3, 4);
     let sigma = hop_auth(&k_i, &res_info, &eer_info, hop);
-    let eer = OwnedEer {
+    OwnedEer {
         key: ReservationKey::new(IsdAsId::new(1, 10), ResId(res_id)),
         eer_info,
         path_ases: vec![IsdAsId::new(1, 10), IsdAsId::new(1, 1)],
@@ -284,22 +284,48 @@ fn auth_gateway(res_id: u32, now: Instant) -> Gateway {
             exp: now + Duration::from_secs(1000),
             hop_auths: vec![sigma, Key([0; 16])],
         }],
-    };
-    let mut gw = Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() });
-    gw.install(&eer, now);
+    }
+}
+
+fn gateway() -> Gateway {
+    Gateway::new(GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() })
+}
+
+/// A gateway holding one reservation whose packets authenticate at
+/// [`router`]-built routers (the reserved-traffic source).
+fn auth_gateway(res_id: u32, now: Instant) -> Gateway {
+    let mut gw = gateway();
+    gw.install(&auth_eer(res_id, now), now);
     gw
 }
 
-fn survivable_pool(shards: usize, cap: usize) -> SupervisedRouterPool {
+fn pool_router() -> BorderRouter {
     let cfg = RouterConfig {
         freshness: Duration::from_secs(3600),
         skew: Duration::from_secs(3600),
         monitoring: false,
         ..RouterConfig::default()
     };
-    SupervisedRouterPool::new(shards, cap, move |_| {
-        BorderRouter::new(AS_ID, &master_secret_for(AS_ID), cfg)
-    })
+    BorderRouter::new(AS_ID, &master_secret_for(AS_ID), cfg)
+}
+
+#[path = "../src/pool_tests/faulty.rs"]
+mod faulty;
+use faulty::{Faulty, MARKER};
+
+fn faulty_router() -> Faulty<BorderRouter> {
+    Faulty { inner: pool_router(), trip: |pkt| pkt == MARKER }
+}
+
+/// Reserved-class submit: never shed, drains `out` while it waits.
+fn reserved<S: Stage>(
+    pool: &mut ShardPool<S>,
+    job: S::Job,
+    now: Instant,
+    out: &mut Vec<Output<S>>,
+) {
+    let v = pool.submit(job, TrafficClass::ColibriData, now, out);
+    assert_eq!(v, SubmitVerdict::Enqueued, "reserved traffic must never shed");
 }
 
 /// Layer 3: 4× best-effort forgery flood against a supervised pool.
@@ -310,7 +336,7 @@ fn survivable_pool(shards: usize, cap: usize) -> SupervisedRouterPool {
 fn reserved_goodput_survives_4x_flood() {
     let now = Instant::from_secs(100);
     let mut gw = auth_gateway(1, now);
-    let mut pool = survivable_pool(2, 32);
+    let mut pool = ShardPool::new(2, 32, |_| pool_router());
     let mut outs = Vec::new();
     let reserved_total = 500u64;
     let mut attack_offered = 0u64;
@@ -321,17 +347,16 @@ fn reserved_goodput_survives_4x_flood() {
             let mut forged = gw.process(HostAddr(7), ResId(1), b"fwd", now).unwrap().bytes;
             let hvf_at = forged.len() - b"fwd".len() - 8 + (j as usize % 8);
             forged[hvf_at] ^= 0x5A; // corrupt an HVF byte
-            pool.submit_classed(forged, TrafficClass::BestEffort, now, &mut outs);
+            pool.submit(forged, TrafficClass::BestEffort, now, &mut outs);
             attack_offered += 1;
         }
         let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
-        let v = pool.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
-        assert_eq!(v, SubmitVerdict::Enqueued, "reserved traffic must never shed");
+        reserved(&mut pool, pkt.bytes, now, &mut outs);
     }
     let snap = pool.shutdown(&mut outs);
     assert!(snap.balanced(), "ledger must balance: {snap:?}");
     assert_eq!(snap.shed_reserved, 0);
-    let goodput = snap.stats.forwarded as f64 / reserved_total as f64;
+    let goodput = snap.stats.router.forwarded as f64 / reserved_total as f64;
     assert!(goodput >= 0.95, "reserved goodput {goodput} under 4x flood");
     // Exact conservation across the attack: accepted + shed == offered.
     assert_eq!(snap.submitted + snap.shed_best_effort, attack_offered + reserved_total);
@@ -345,15 +370,15 @@ fn reserved_goodput_survives_4x_flood() {
 fn mid_run_shard_kill_recovers_with_exact_accounting() {
     let now = Instant::from_secs(100);
     let mut gw = auth_gateway(1, now);
-    let mut pool = survivable_pool(1, 64);
+    let mut pool = ShardPool::new(1, 64, |_| pool_router());
     let mut outs = Vec::new();
-    let submit_all = |pool: &mut SupervisedRouterPool,
+    let submit_all = |pool: &mut ShardPool<BorderRouter>,
                       gw: &mut Gateway,
                       outs: &mut Vec<_>,
                       n: u64| {
         for i in 0..n {
             let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
-            pool.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, outs);
+            pool.submit(pkt.bytes, TrafficClass::ColibriData, now, outs);
         }
     };
     submit_all(&mut pool, &mut gw, &mut outs, 200);
@@ -367,36 +392,70 @@ fn mid_run_shard_kill_recovers_with_exact_accounting() {
     assert!(snap.respawns >= 1, "recovery must have respawned the shard");
     assert_eq!(
         snap.submitted,
-        snap.stats.processed() + snap.panic_discarded + snap.lost_to_kill,
+        snap.stats.router.processed() + snap.panic_discarded + snap.lost_to_kill,
         "conservation violated: {snap:?}"
     );
     assert!(snap.balanced());
     // Everything that reached a router forwarded (all traffic is valid);
     // the remainder is explicitly accounted against the kill.
-    assert_eq!(snap.stats.forwarded + snap.lost_to_kill + snap.panic_discarded, 400);
+    assert_eq!(snap.stats.router.forwarded + snap.lost_to_kill + snap.panic_discarded, 400);
+}
+
+/// Layer 3: a kill strands a timing-dependent share of the queue —
+/// including, in some trials, a job that would have panicked its batch.
+/// The ledger balances on every trial, and the routers' own verdict
+/// counters agree with it.
+#[test]
+fn kill_with_queued_jobs_balances_every_trial() {
+    let now = Instant::from_secs(100);
+    let mut gw = auth_gateway(1, now);
+    for trial in 0..50 {
+        let mut pool = ShardPool::new(1, 64, |_| faulty_router());
+        let mut outs = Vec::new();
+        for i in 0..200u64 {
+            let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
+            reserved(&mut pool, pkt.bytes, now, &mut outs);
+        }
+        reserved(&mut pool, MARKER.to_vec(), now, &mut outs);
+        for i in 0..8u64 {
+            let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
+            reserved(&mut pool, pkt.bytes, now, &mut outs);
+        }
+        pool.kill_shard(0, &mut outs);
+        let snap = pool.shutdown(&mut outs);
+        assert!(snap.balanced(), "trial {trial}: {snap:?}");
+        assert_eq!(snap.submitted, 209);
+        assert_eq!(
+            snap.submitted,
+            snap.stats.router.processed() + snap.panic_discarded + snap.lost_to_kill,
+            "trial {trial}: {snap:?}"
+        );
+        assert_eq!(outs.len() as u64 + snap.lost_to_kill, 209, "trial {trial}");
+    }
 }
 
 /// Layer 3: an injected worker panic (the "one bad packet" scenario)
 /// neither takes down the pool nor loses unaccounted packets, and the
-/// respawned router's crypto caches rebuild (later packets still
+/// rebuilt router's crypto caches rebuild (later packets still
 /// validate).
 #[test]
 fn poisoned_worker_is_contained_and_caches_rebuild() {
     let now = Instant::from_secs(100);
     let mut gw = auth_gateway(1, now);
-    let mut pool = survivable_pool(1, 128);
+    let mut pool = ShardPool::new(1, 128, |_| faulty_router());
     let mut outs = Vec::new();
     for i in 0..50u64 {
         let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
-        pool.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
+        pool.submit(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
     }
-    pool.inject_panic(0);
+    pool.submit(MARKER.to_vec(), TrafficClass::ColibriData, now, &mut outs);
     for i in 0..50u64 {
         let pkt = gw.process(HostAddr(7), ResId(1), &i.to_be_bytes(), now).unwrap();
-        pool.submit_classed(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
+        pool.submit(pkt.bytes, TrafficClass::ColibriData, now, &mut outs);
     }
-    // Drain everything; the worker must still be alive and validating.
-    while outs.len() < 100 {
+    // Drain everything (the marker is a job too); the worker must still
+    // be alive and validating.
+    while outs.len() < 101 {
         pool.try_drain(&mut outs, usize::MAX);
         std::thread::yield_now();
     }
@@ -404,11 +463,76 @@ fn poisoned_worker_is_contained_and_caches_rebuild() {
     assert_eq!(pool.health()[0].panics, 1);
     let forwarded_live = outs
         .iter()
-        .filter(|o| matches!(o.outcome, ShardOutcome::Verdict(RouterVerdict::Forward(_))))
+        .filter(|o| matches!(o.outcome, Outcome::Done(RouterVerdict::Forward(_))))
         .count();
     assert!(forwarded_live > 50, "packets after the panic must still validate");
     let snap = pool.shutdown(&mut outs);
     assert!(snap.balanced(), "{snap:?}");
     assert_eq!(snap.panics, 1);
-    assert_eq!(snap.stats.processed() + snap.panic_discarded, 100);
+    assert_eq!(snap.stats.router.processed() + snap.panic_discarded, 101);
+}
+
+/// Layer 3: a panicking gateway shard is contained like a router: the
+/// in-flight job comes back as a panic discard with its buffers, the
+/// pool keeps stamping, and the ledger balances. The rebuilt shard
+/// starts from the factory — an empty table — so it answers
+/// `UnknownReservation` until the reservation is installed again.
+#[test]
+fn panicking_gateway_is_contained_and_rebuilt_empty() {
+    // Each phase runs at its own instant, so the worker never hands jobs
+    // of two phases to one `process` call: the marker's batch holds the
+    // marker alone.
+    let t = Instant::from_secs(100);
+    let (t1, t2, t3) =
+        (t + Duration::from_secs(1), t + Duration::from_secs(2), t + Duration::from_secs(3));
+    let mut pool = ShardPool::new(1, 8, |_| Faulty {
+        inner: gateway(),
+        trip: |job| matches!(job, GatewayJob::Stamp { payload, .. } if payload == MARKER),
+    });
+    let mut outs = Vec::new();
+    let stamp = |payload: &[u8]| GatewayJob::Stamp {
+        src_host: HostAddr(7),
+        res_id: ResId(1),
+        payload: payload.to_vec(),
+        bytes: Vec::new(),
+    };
+    reserved(&mut pool, GatewayJob::Install(Box::new(auth_eer(1, t))), t, &mut outs);
+    for _ in 0..4 {
+        reserved(&mut pool, stamp(b"pre"), t, &mut outs);
+    }
+    reserved(&mut pool, stamp(MARKER), t1, &mut outs);
+    for _ in 0..4 {
+        reserved(&mut pool, stamp(b"post"), t2, &mut outs);
+    }
+    reserved(&mut pool, GatewayJob::Install(Box::new(auth_eer(1, t))), t3, &mut outs);
+    for _ in 0..4 {
+        reserved(&mut pool, stamp(b"again"), t3, &mut outs);
+    }
+    pool.flush(&mut outs);
+    assert_eq!(outs.len(), 15);
+    assert_eq!(pool.health()[0].panics, 1);
+    assert!(pool.health()[0].alive, "worker must survive its panic");
+    for o in &outs {
+        let expected = match &o.job {
+            GatewayJob::Install(_) => Outcome::Done(GatewayVerdict::Installed),
+            GatewayJob::Stamp { payload, bytes, .. } => match payload.as_slice() {
+                b"pre" | b"again" => Outcome::Done(GatewayVerdict::Stamped(Ok(InterfaceId(4)))),
+                b"post" => Outcome::Done(GatewayVerdict::Stamped(Err(
+                    GatewayError::UnknownReservation(ResId(1)),
+                ))),
+                _ => {
+                    // The payload buffer comes back intact.
+                    assert_eq!(payload, MARKER);
+                    assert!(bytes.is_empty());
+                    Outcome::PanicDiscard
+                }
+            },
+        };
+        assert_eq!(o.outcome, expected);
+    }
+    let snap = pool.shutdown(&mut outs);
+    assert!(snap.balanced(), "{snap:?}");
+    assert_eq!((snap.submitted, snap.panic_discarded, snap.panics), (15, 1, 1));
+    assert_eq!(snap.stats.gateway.forwarded, 8);
+    assert_eq!(snap.stats.gateway.rejected, 4);
 }

@@ -598,7 +598,7 @@ proptest! {
         gens in prop::collection::vec(cache_gen_strategy(), 1..24),
         shards in 2usize..5,
     ) {
-        use colibri_dataplane::ShardRouterPool;
+        use colibri_dataplane::{Output, ShardPool, TrafficClass};
 
         let now = Instant::from_secs(1000);
         let secret = master_secret_for(AS_ID);
@@ -606,13 +606,13 @@ proptest! {
             gens.iter().map(|g| materialize_cache(g, now, 0)).collect();
 
         let run = |n: usize| {
-            let mut pool = ShardRouterPool::new(n, originals.len() + 1, |_| {
+            let mut pool = ShardPool::new(n, originals.len() + 1, move |_| {
                 BorderRouter::new(AS_ID, &secret, RouterConfig::default())
             });
-            for pkt in &originals {
-                pool.submit(pkt.clone(), now);
-            }
             let mut outs = Vec::new();
+            for pkt in &originals {
+                pool.submit(pkt.clone(), TrafficClass::ColibriData, now, &mut outs);
+            }
             pool.shutdown(&mut outs);
             outs
         };
@@ -621,8 +621,8 @@ proptest! {
         prop_assert_eq!(reference.len(), steered.len());
 
         // Same multiset of (verdict, bytes) overall.
-        let key = |o: &colibri_dataplane::RoutedOutput| {
-            (format!("{:?}", o.verdict), o.pkt.clone())
+        let key = |o: &Output<BorderRouter>| {
+            (format!("{:?}", o.outcome), o.job.clone())
         };
         let mut a: Vec<_> = reference.iter().map(key).collect();
         let mut b: Vec<_> = steered.iter().map(key).collect();
@@ -632,10 +632,10 @@ proptest! {
 
         // Per-flow subsequences preserved in order. (Unparseable packets
         // have no flow; they are covered by the multiset check above.)
-        let flow_seq = |outs: &[colibri_dataplane::RoutedOutput], id: ResId| {
+        let flow_seq = |outs: &[Output<BorderRouter>], id: ResId| {
             outs.iter()
-                .filter(|o| colibri_wire::peek_res_id(&o.pkt) == Some(id))
-                .map(|o| (format!("{:?}", o.verdict), o.pkt.clone()))
+                .filter(|o| colibri_wire::peek_res_id(&o.job) == Some(id))
+                .map(|o| (format!("{:?}", o.outcome), o.job.clone()))
                 .collect::<Vec<_>>()
         };
         for id in 0..4u32 {

@@ -474,7 +474,7 @@ mod tests {
 
     #[test]
     fn close_on_drop_mid_batch_loses_nothing() {
-        // The supervisor's kill path (DESIGN.md §14): the consumer side
+        // A shard worker dying (DESIGN.md §9): the consumer side
         // vanishes mid-stream while the producer is still pushing a
         // batch. The producer must observe Closed with its item handed
         // back, everything enqueued before the close must remain
@@ -524,7 +524,7 @@ mod tests {
     fn consumer_drop_mid_batch_counts_stranded_items() {
         // Same scenario, but the driver does NOT drain: the stranded
         // items' destructors run in Inner::drop, and the producer can
-        // still count what it had queued (the supervisor's lost_to_kill
+        // still count what it had queued (the shard pool's lost_to_kill
         // ledger) before tearing down.
         use std::sync::atomic::AtomicU32;
         static DROPS: AtomicU32 = AtomicU32::new(0);

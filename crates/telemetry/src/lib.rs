@@ -12,9 +12,9 @@
 //! produce an epoch-stamped [`Snapshot`] that merges shards, diffs
 //! against earlier snapshots, and renders to Prometheus text or JSON.
 //!
-//! Shards are **explicit labels** (`"router3"`, `"gw0"`), not thread
-//! identities: the `parallel` drivers register one shard per worker, so
-//! a scrape can show per-shard splits and the cross-shard merge —
+//! Shards are **explicit labels** (`"router3"`, `"gateway0"`), not thread
+//! identities: the data-plane shard pools register one shard per
+//! worker, so a scrape can show per-shard splits and the cross-shard merge —
 //! deterministically, regardless of how threads were scheduled.
 //!
 //! # Determinism and the `Stability` contract

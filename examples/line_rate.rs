@@ -1,12 +1,14 @@
 //! Line rate: the batched, multi-shard data plane end to end.
 //!
-//! Drives the full packet lifecycle of paper Fig. 1c through the parallel
-//! drivers: a [`ParallelGateway`] stamps packets on worker-owned shards
+//! Drives the full packet lifecycle of paper Fig. 1c through shard pools:
+//! a [`ShardPool`] of [`Gateway`]s stamps packets on worker-owned shards
 //! (allocation-free `process_into` + interleaved multi-key CMAC), then a
-//! chain of [`ShardRouterPool`]s — one per on-path AS — validates and
-//! forwards them with `process_batch` (single parse, hoisted `K_i`,
-//! 4-wide HVF verification), until the last hop delivers to the
-//! destination host. Prints the measured throughput of every stage.
+//! chain of [`ShardPool`]s of [`BorderRouter`]s — one per on-path AS —
+//! validates and forwards them with `process_batch` (single parse,
+//! hoisted `K_i`, 4-wide HVF verification), until the last hop delivers
+//! to the destination host. Every pool's rings hold [`QUEUE`] jobs, far
+//! fewer than the run: `submit` drains outputs while a ring is full.
+//! Prints the measured throughput of every stage.
 //!
 //! All numbers here come from one machine, so per-stage Mpps is the
 //! single-machine rate of that stage run in isolation; in a deployment
@@ -18,13 +20,16 @@ use colibri::base::{Bandwidth, Duration, HostAddr, Instant, IsdAsId, ResId, Rese
 use colibri::crypto::{Epoch, SecretValueGen};
 use colibri::ctrl::{master_secret_for, OwnedEer, OwnedEerVersion};
 use colibri::dataplane::{
-    GatewayConfig, ParallelGateway, RouterConfig, RouterVerdict, ShardRouterPool,
+    BorderRouter, Gateway, GatewayConfig, GatewayJob, GatewayVerdict, Outcome, RouterConfig,
+    RouterVerdict, ShardPool, TrafficClass,
 };
 use colibri::wire::mac::hop_auth;
 use colibri::wire::{EerInfo, HopField, ResInfo};
 
 const HOPS: usize = 4;
 const SHARDS: usize = 2;
+/// Ring capacity (jobs) of every shard.
+const QUEUE: usize = 1024;
 const RESERVATIONS: u32 = 256;
 const SRC_HOST: HostAddr = HostAddr(0x0a00_0001);
 const DST_HOST: HostAddr = HostAddr(0x1400_0002);
@@ -91,25 +96,32 @@ fn main() {
     println!("line-rate pipeline: {HOPS} hops, {SHARDS} shards/stage, {packets} packets");
 
     // ── Stage 0: gateway stamping ───────────────────────────────────────
-    let mut gw = ParallelGateway::new(
-        SHARDS,
-        GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() },
-        packets + 1,
-    );
+    let cfg = GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() };
+    let mut gw = ShardPool::new(SHARDS, QUEUE, move |_| Gateway::new(cfg));
+    let mut stamped = Vec::with_capacity(packets + RESERVATIONS as usize);
     for id in 0..RESERVATIONS {
-        gw.install(&owned_eer(id, now), now);
+        let install = GatewayJob::Install(Box::new(owned_eer(id, now)));
+        gw.submit(install, TrafficClass::ColibriControl, now, &mut stamped);
     }
     let t0 = std::time::Instant::now();
     for i in 0..packets {
-        gw.submit(SRC_HOST, ResId(i as u32 % RESERVATIONS), vec![0u8; 64], now);
+        let job = GatewayJob::Stamp {
+            src_host: SRC_HOST,
+            res_id: ResId(i as u32 % RESERVATIONS),
+            payload: vec![0u8; 64],
+            bytes: gw.buffer(),
+        };
+        gw.submit(job, TrafficClass::ColibriData, now, &mut stamped);
     }
-    let mut stamped = Vec::with_capacity(packets);
     gw.flush(&mut stamped);
     let gw_secs = t0.elapsed().as_secs_f64();
-    let ok = stamped.iter().filter(|o| o.result.is_ok()).count();
+    let ok = stamped
+        .iter()
+        .filter(|o| matches!(o.outcome, Outcome::Done(GatewayVerdict::Stamped(Ok(_)))))
+        .count();
     assert_eq!(ok, packets, "every packet must stamp");
     let gw_snap = gw.shutdown(&mut stamped);
-    let gw_stats = gw_snap.stats;
+    let gw_stats = gw_snap.stats.gateway;
     println!(
         "  gateway    : {:>7.3} Mpps  (stamped {} packets, {} rate-limited)",
         mpps(packets, gw_secs),
@@ -123,7 +135,12 @@ fn main() {
     // re-serialization.
     let mut in_flight: Vec<Vec<u8>> = stamped
         .into_iter()
-        .filter_map(|o| o.result.ok().map(|_| o.bytes))
+        .filter_map(|o| match (o.outcome, o.job) {
+            (Outcome::Done(GatewayVerdict::Stamped(Ok(_))), GatewayJob::Stamp { bytes, .. }) => {
+                Some(bytes)
+            }
+            _ => None,
+        })
         .collect();
     let cfg = RouterConfig {
         freshness: Duration::from_secs(3600),
@@ -134,29 +151,24 @@ fn main() {
     let mut delivered = 0usize;
     for (hop, as_id) in ases.iter().enumerate() {
         let master = master_secret_for(*as_id);
+        let as_id = *as_id;
         let mut pool =
-            ShardRouterPool::new(SHARDS, packets + 1, move |_| {
-                colibri::dataplane::BorderRouter::new(*as_id, &master, cfg)
-            });
+            ShardPool::new(SHARDS, QUEUE, move |_| BorderRouter::new(as_id, &master, cfg));
         let count = in_flight.len();
         let t0 = std::time::Instant::now();
-        for pkt in in_flight.drain(..) {
-            pool.submit(pkt, now);
-        }
         let mut outs = Vec::with_capacity(count);
-        while outs.len() < count {
-            if pool.try_drain(&mut outs, usize::MAX) == 0 {
-                std::thread::yield_now();
-            }
+        for pkt in in_flight.drain(..) {
+            pool.submit(pkt, TrafficClass::ColibriData, now, &mut outs);
         }
+        pool.flush(&mut outs);
         let secs = t0.elapsed().as_secs_f64();
-        let snap = pool.shutdown(&mut Vec::new());
-        let (stats, cache_stats) = (snap.stats, snap.cache);
+        let snap = pool.shutdown(&mut outs);
+        let (stats, cache_stats) = (snap.stats.router, snap.stats.cache);
         let last = hop + 1 == HOPS;
         for o in outs {
-            match o.verdict {
-                RouterVerdict::Forward(_) if !last => in_flight.push(o.pkt),
-                RouterVerdict::DeliverHost(h) if last => {
+            match o.outcome {
+                Outcome::Done(RouterVerdict::Forward(_)) if !last => in_flight.push(o.job),
+                Outcome::Done(RouterVerdict::DeliverHost(h)) if last => {
                     assert_eq!(h, DST_HOST);
                     delivered += 1;
                 }

@@ -10,12 +10,23 @@ cd "$(dirname "$0")/.."
 # enough to run on every data-plane change; the full gate below also
 # covers all of it via `cargo test -q` and the quick bench gates.
 if [[ "${1:-}" == "--attack" ]]; then
-  echo "==> adversarial test battery (mutation taxonomy, 4x flood goodput, shard-kill recovery)"
-  cargo test --release -q -p colibri-dataplane --test adversarial
-  echo "==> attack-generator + supervisor unit suites"
-  cargo test --release -q -p colibri-sim --lib attack
-  cargo test --release -q -p colibri-dataplane --lib supervisor
-  cargo test --release -q -p colibri-ring --lib
+  # Runs a cargo test command and fails if it selected no test at all, so
+  # a renamed module cannot turn a filtered step into a vacuous pass.
+  nonempty() {
+    local out
+    out=$("$@" 2>&1) || { echo "$out"; return 1; }
+    echo "$out"
+    if ! grep -Eq '^running [1-9][0-9]* tests?$' <<<"$out"; then
+      echo "==> FAIL: no test selected by: $*" >&2
+      return 1
+    fi
+  }
+  echo "==> adversarial test battery (mutation taxonomy, 4x flood goodput, shard-kill recovery, contained panics)"
+  nonempty cargo test --release -q -p colibri-dataplane --test adversarial
+  echo "==> attack-generator + shard-pool unit suites"
+  nonempty cargo test --release -q -p colibri-sim --lib attack
+  nonempty cargo test --release -q -p colibri-dataplane --lib -- pool supervisor
+  nonempty cargo test --release -q -p colibri-ring --lib
   echo "==> repro_pipeline --quick --gate (survivability rows: taxonomy exact, goodput ≥95%, ledger balanced)"
   cargo run --release -q -p colibri-bench --bin repro_pipeline -- \
     --quick --gate --out target/BENCH_dataplane.attack.json

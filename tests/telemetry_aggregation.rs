@@ -12,7 +12,7 @@
 //!    lossy fault plan: fresh verdicts are counted exactly once per
 //!    (request, hop) no matter how many retries the faults forced, and
 //!    the replay-hit counter must agree with the `retry` trace events.
-//! 3. The `parallel` shard drivers: the registry scrape of a
+//! 3. The shard pools: the registry scrape of a
 //!    multi-shard gateway + router run must equal the pools' aggregated
 //!    shutdown snapshots, with the per-shard split visible.
 
@@ -22,7 +22,9 @@ use colibri::ctrl::{
     renew_eer_reliable, setup_eer_reliable, setup_segr_reliable, ControlChannel, Delivery,
     RetryPolicy, RetryStats,
 };
-use colibri::dataplane::{ParallelGateway, ShardRouterPool};
+use colibri::dataplane::{
+    Gateway, GatewayJob, GatewayVerdict, Outcome, ShardPool, TrafficClass,
+};
 use colibri::prelude::*;
 use colibri::sim::{FaultPlan, LinkFaults};
 use colibri::telemetry::{global, verify_exposition, Registry, TraceOp, Tracer};
@@ -281,40 +283,52 @@ fn pool_scrapes_equal_cross_shard_shutdown_snapshots() {
 
     // One registry for both pools: 3 gateway shards + 2 router shards.
     let registry = Registry::new();
-    let mut pg = ParallelGateway::with_telemetry(
-        3,
-        GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() },
-        32,
-        &registry,
-    );
+    let cfg = GatewayConfig { burst: Duration::from_secs(3600), ..Default::default() };
+    let mut pg = ShardPool::with_telemetry(3, 32, &registry, move |_| Gateway::new(cfg));
+    let mut stamped = Vec::new();
+    let stamp = |src_host, res_id, payload: Vec<u8>| GatewayJob::Stamp {
+        src_host,
+        res_id,
+        payload,
+        bytes: Vec::new(),
+    };
     for eer in &owned {
-        pg.install(eer, now);
+        let install = GatewayJob::Install(Box::new(eer.clone()));
+        pg.submit(install, TrafficClass::ColibriControl, now, &mut stamped);
     }
     for i in 0..48u32 {
         let eer = &owned[(i % 6) as usize];
-        pg.submit(eer.eer_info.src_host, eer.key.res_id, i.to_be_bytes().to_vec(), now);
+        let job = stamp(eer.eer_info.src_host, eer.key.res_id, i.to_be_bytes().to_vec());
+        pg.submit(job, TrafficClass::ColibriData, now, &mut stamped);
     }
     // One unknown reservation: a rejected stamp, visible in the scrape.
-    pg.submit(HostAddr(1), ResId(99_999), b"x".to_vec(), now);
-    let mut stamped = Vec::new();
+    let unknown = stamp(HostAddr(1), ResId(99_999), b"x".to_vec());
+    pg.submit(unknown, TrafficClass::ColibriData, now, &mut stamped);
     pg.flush(&mut stamped);
     let gw_snap = pg.shutdown(&mut stamped);
 
-    let mut pool = ShardRouterPool::with_telemetry(2, 32, &registry, |_| {
-        BorderRouter::new(sample.leaf_a, &master_secret_for(sample.leaf_a), RouterConfig::default())
+    let leaf_a = sample.leaf_a;
+    let mut pool = ShardPool::with_telemetry(2, 32, &registry, move |_| {
+        BorderRouter::new(leaf_a, &master_secret_for(leaf_a), RouterConfig::default())
     });
+    let mut routed = Vec::new();
     let mut sent = 0usize;
-    for (i, s) in stamped.into_iter().filter(|s| s.result.is_ok()).enumerate() {
-        let mut pkt = s.bytes;
+    let stamped_bytes = stamped.into_iter().filter_map(|s| match (s.outcome, s.job) {
+        (Outcome::Done(GatewayVerdict::Stamped(Ok(_))), GatewayJob::Stamp { bytes, .. }) => {
+            Some(bytes)
+        }
+        _ => None,
+    });
+    for (i, bytes) in stamped_bytes.enumerate() {
+        let mut pkt = bytes;
         if i < 3 {
             // Corrupt the HVF: a deterministic bad-HVF drop per packet.
             let n = pkt.len();
             pkt[n - 20] ^= 0xFF;
         }
-        pool.submit(pkt, now);
+        pool.submit(pkt, TrafficClass::ColibriData, now, &mut routed);
         sent += 1;
     }
-    let mut routed = Vec::new();
     while routed.len() < sent {
         pool.try_drain(&mut routed, usize::MAX);
         std::thread::yield_now();
@@ -326,19 +340,25 @@ fn pool_scrapes_equal_cross_shard_shutdown_snapshots() {
     let snap = registry.snapshot();
     assert_eq!(gw_snap.shards, 3);
     assert_eq!(rt_snap.shards, 2);
-    assert_eq!(snap.total("colibri_gateway_forwarded_total"), gw_snap.stats.forwarded);
-    assert_eq!(snap.total("colibri_gateway_rate_limited_total"), gw_snap.stats.rate_limited);
-    assert_eq!(snap.total("colibri_gateway_rejected_total"), gw_snap.stats.rejected);
-    assert_eq!(gw_snap.stats.forwarded, 48);
-    assert_eq!(gw_snap.stats.rejected, 1);
-    assert_eq!(snap.total("colibri_router_forwarded_total"), rt_snap.stats.forwarded);
-    assert_eq!(snap.total("colibri_router_drop_bad_hvf_total"), rt_snap.stats.bad_hvf);
-    assert_eq!(rt_snap.stats.forwarded, 45);
-    assert_eq!(rt_snap.stats.bad_hvf, 3);
-    assert_eq!(snap.total("colibri_router_cache_sigma_hits_total"), rt_snap.cache.sigma_hits);
+    assert_eq!(snap.total("colibri_gateway_forwarded_total"), gw_snap.stats.gateway.forwarded);
+    assert_eq!(
+        snap.total("colibri_gateway_rate_limited_total"),
+        gw_snap.stats.gateway.rate_limited
+    );
+    assert_eq!(snap.total("colibri_gateway_rejected_total"), gw_snap.stats.gateway.rejected);
+    assert_eq!(gw_snap.stats.gateway.forwarded, 48);
+    assert_eq!(gw_snap.stats.gateway.rejected, 1);
+    assert_eq!(snap.total("colibri_router_forwarded_total"), rt_snap.stats.router.forwarded);
+    assert_eq!(snap.total("colibri_router_drop_bad_hvf_total"), rt_snap.stats.router.bad_hvf);
+    assert_eq!(rt_snap.stats.router.forwarded, 45);
+    assert_eq!(rt_snap.stats.router.bad_hvf, 3);
+    assert_eq!(
+        snap.total("colibri_router_cache_sigma_hits_total"),
+        rt_snap.stats.cache.sigma_hits
+    );
     assert_eq!(
         snap.total("colibri_router_cache_sigma_misses_total"),
-        rt_snap.cache.sigma_misses
+        rt_snap.stats.cache.sigma_misses
     );
 
     // The per-shard split is visible in the scrape and sums to the total.
