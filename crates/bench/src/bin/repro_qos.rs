@@ -15,9 +15,12 @@
 //! * `--gate` — exit non-zero if any claim fails:
 //!   - reserved goodput ≥ 95% of entitlement under the 4× flood,
 //!   - zero reserved drops (no conformance, overflow, or teardown loss),
-//!   - best-effort scavenges ≥ 90% of an otherwise-idle link,
-//!   - the degenerate hierarchy agrees with the flat gateway *exactly*
-//!     on a seeded schedule (release-mode differential spot check),
+//!   - best-effort scavenges ≥ 90% of an otherwise-idle link, and at
+//!     most the link plus the uplink bucket's burst (1 + burst/T of the
+//!     link bytes over a run of length T — more would be token creation),
+//!   - a default gateway agrees *exactly* with an independent oracle of
+//!     flat per-reservation token buckets on a seeded schedule
+//!     (release-mode differential spot check),
 //!   - the sharded pool snapshot merge equals the per-shard sum;
 //! * `--out <path>` — where to write the JSON (default `BENCH_qos.json`
 //!   in the current directory).
@@ -26,10 +29,12 @@
 
 use colibri::base::{Bandwidth, Duration, HostAddr, Instant, ResId};
 use colibri::dataplane::{
-    Gateway, GatewayConfig, GatewayShardStats, Merge, QosMode, Stage, TrafficClass,
+    Gateway, GatewayConfig, GatewayError, GatewayShardStats, GatewayStats, Merge, QosMode, Stage,
+    TrafficClass,
 };
+use colibri::monitor::TokenBucket;
 use colibri::qdisc::{HtbConfig, QdiscStats};
-use colibri_bench::{synthetic_owned_eer, Xor64};
+use colibri_bench::{synthetic_owned_eer, Xor64, SRC_HOST};
 
 /// Packet size used throughout (payload + header on the process path).
 const PKT: u64 = 1250;
@@ -159,7 +164,7 @@ fn isolation_run(sc: &Scenario) -> IsolationResult {
     for gw in &shards {
         pooled.merge(&Stage::stats(gw));
     }
-    let merged = pooled.qos.expect("hierarchical bank has qos stats");
+    let merged = pooled.qos;
     let mut manual = QdiscStats::default();
     for gw in &shards {
         manual.merge(&gw.qos_stats().expect("shard stats"));
@@ -187,6 +192,9 @@ fn isolation_run(sc: &Scenario) -> IsolationResult {
 
 struct ScavengeResult {
     link_bytes: u64,
+    /// The uplink bucket's depth: what a full bucket adds on top of the
+    /// link's rate over the run.
+    burst_bytes: u64,
     be_served_bytes: u64,
     fraction: f64,
     scavenged_bytes: u64,
@@ -219,51 +227,75 @@ fn scavenge_run(sc: &Scenario) -> ScavengeResult {
     let stats = q.stats();
     let be = TrafficClass::BestEffort.index();
     let link_bytes = uplink_bytes_per_tick * sc.ticks;
+    let class_burst = sc.htb().class_burst;
     ScavengeResult {
         link_bytes,
+        burst_bytes: sc.uplink.as_bps() * class_burst.as_nanos() / 8 / 1_000_000_000,
         be_served_bytes: stats.served_bytes[be],
         fraction: stats.served_bytes[be] as f64 / link_bytes.max(1) as f64,
         scavenged_bytes: stats.scavenged_bytes[be],
     }
 }
 
-/// Release-mode differential spot check: a seeded schedule through a flat
-/// and a degenerate-hierarchy gateway must agree on every packet and on
-/// the final counters (debug builds prove this under proptest; this is
-/// the only release-side guard).
+/// Release-mode differential spot check: a seeded schedule through a
+/// default gateway (degenerate tree) and an independent oracle — one flat
+/// [`TokenBucket`] per reservation, the paper's monitoring (§4.8) — must
+/// agree on every verdict and on the final counters (debug builds prove
+/// this under proptest; this is the only release-side guard). The
+/// schedule must exercise both admission and rate limiting.
 fn differential_spot_check() -> bool {
     let burst = Duration::from_millis(5);
     let t0 = Instant::from_secs(1);
     let exp = Instant::from_secs(100);
-    let mut flat = Gateway::new(GatewayConfig { burst, qos: QosMode::Flat });
-    let mut hier = Gateway::new(GatewayConfig {
-        burst,
-        qos: QosMode::Hierarchical(HtbConfig::degenerate(burst)),
-    });
+    const HOPS: usize = 3;
+    let mut gw = Gateway::new(GatewayConfig { burst, ..Default::default() });
+    let mut oracle: Vec<TokenBucket> = Vec::new();
+    let mut want = GatewayStats::default();
     for r in 0..4u32 {
-        let eer = synthetic_owned_eer(r, 3, Bandwidth::from_mbps(5 * (r as u64 + 1)), exp);
-        flat.install(&eer, t0);
-        hier.install(&eer, t0);
+        let bw = Bandwidth::from_mbps(5 * (r as u64 + 1));
+        gw.install(&synthetic_owned_eer(r, HOPS, bw, exp), t0);
+        oracle.push(TokenBucket::with_burst_duration(bw, burst, t0));
+        want.installs += 1;
     }
-    let src = colibri::base::HostAddr(0xBEEF);
     let mut rng = Xor64::new(0xC0DE1);
     let payload = [0u8; 1400];
     for step in 0..200_000u64 {
         let now = t0 + Duration::from_micros(rng.next() % 2_000_000);
-        let res = ResId((rng.next() % 5) as u32); // 4 may be unknown
+        let res = ResId((rng.next() % 5) as u32); // 4 is unknown
         let len = (rng.next() % 1400) as usize;
-        let vf = flat.process(src, res, &payload[..len], now);
-        let vh = hier.process(src, res, &payload[..len], now);
-        if vf != vh {
-            eprintln!("DIFFERENTIAL MISMATCH at step {step}: flat={vf:?} hier={vh:?}");
+        let size = (colibri::wire::header_len(HOPS, true) + len) as u64;
+        let expected = match oracle.get_mut(res.0 as usize) {
+            None => Err(GatewayError::UnknownReservation(res)),
+            Some(b) => b.try_consume(size, now).then_some(()).ok_or(GatewayError::RateLimited(res)),
+        };
+        match expected {
+            Ok(()) => want.forwarded += 1,
+            Err(GatewayError::RateLimited(_)) => want.rate_limited += 1,
+            Err(_) => want.rejected += 1,
+        }
+        let got = gw.process(SRC_HOST, res, &payload[..len], now).map(|_| ());
+        if got != expected {
+            eprintln!("DIFFERENTIAL MISMATCH at step {step}: oracle={expected:?} gateway={got:?}");
             return false;
         }
     }
-    if flat.stats != hier.stats {
-        eprintln!("DIFFERENTIAL MISMATCH: stats flat={:?} hier={:?}", flat.stats, hier.stats);
+    if gw.stats != want {
+        eprintln!("DIFFERENTIAL MISMATCH: stats oracle={want:?} gateway={:?}", gw.stats);
+        return false;
+    }
+    if want.forwarded == 0 || want.rate_limited == 0 {
+        eprintln!("DIFFERENTIAL VACUOUS: schedule never admitted or never limited ({want:?})");
         return false;
     }
     true
+}
+
+impl ScavengeResult {
+    /// The largest legitimate served fraction: the link's bytes over the
+    /// run plus one full uplink bucket, as a share of the link's bytes.
+    fn ceiling(&self) -> f64 {
+        (self.link_bytes + self.burst_bytes) as f64 / self.link_bytes.max(1) as f64
+    }
 }
 
 fn main() {
@@ -303,13 +335,18 @@ fn main() {
 
     let scav = scavenge_run(&sc);
     println!(
-        "scavenge (reserved idle): {}/{} link bytes to best-effort ({:.4}), {} via scavenge phase",
-        scav.be_served_bytes, scav.link_bytes, scav.fraction, scav.scavenged_bytes
+        "scavenge (reserved idle): {}/{} link bytes to best-effort ({:.4}, ceiling {:.4}), {} via \
+         scavenge phase",
+        scav.be_served_bytes,
+        scav.link_bytes,
+        scav.fraction,
+        scav.ceiling(),
+        scav.scavenged_bytes
     );
 
     let differential_ok = differential_spot_check();
     println!(
-        "flat vs degenerate hierarchy: {}",
+        "gateway vs flat-bucket oracle: {}",
         if differential_ok { "exact agreement" } else { "MISMATCH" }
     );
 
@@ -321,8 +358,8 @@ fn main() {
          \"ratio\": {:.6}, \"reserved_enqueue_failures\": {}, \"dropped_conform\": {}, \
          \"dropped_teardown\": {}, \"be_served_bytes\": {}, \"be_codel_drops\": {}, \
          \"be_overflow_drops\": {}, \"ns_per_pkt\": {:.1}}},\n  \
-         \"scavenge\": {{\"link_bytes\": {}, \"be_served_bytes\": {}, \"fraction\": {:.6}, \
-         \"scavenged_bytes\": {}}},\n  \"differential_ok\": {},\n  \"merge_ok\": {}\n}}\n",
+         \"scavenge\": {{\"link_bytes\": {}, \"burst_bytes\": {}, \"be_served_bytes\": {}, \
+         \"fraction\": {:.6}, \"ceiling\": {:.6}, \"scavenged_bytes\": {}}},\n  \"differential_ok\": {},\n  \"merge_ok\": {}\n}}\n",
         sc.shards,
         sc.reservations,
         sc.hosts,
@@ -340,8 +377,10 @@ fn main() {
         iso.be_overflow_drops,
         ns_per_pkt,
         scav.link_bytes,
+        scav.burst_bytes,
         scav.be_served_bytes,
         scav.fraction,
+        scav.ceiling(),
         scav.scavenged_bytes,
         differential_ok,
         iso.merge_ok,
@@ -376,12 +415,21 @@ fn main() {
             );
             ok = false;
         }
+        if scav.be_served_bytes > scav.link_bytes + scav.burst_bytes {
+            eprintln!(
+                "GATE FAIL: best-effort served {:.4} of the link, above the 1 + burst/T ceiling \
+                 {:.4} (token creation)",
+                scav.fraction,
+                scav.ceiling()
+            );
+            ok = false;
+        }
         if scav.scavenged_bytes == 0 {
             eprintln!("GATE FAIL: scavenge counter never moved");
             ok = false;
         }
         if !differential_ok {
-            eprintln!("GATE FAIL: degenerate hierarchy diverged from the flat gateway");
+            eprintln!("GATE FAIL: default gateway diverged from the flat-bucket oracle");
             ok = false;
         }
         if !iso.merge_ok {

@@ -95,7 +95,7 @@ pub mod prelude {
     };
     pub use colibri_dataplane::{
         stamp_segr_packet, BorderRouter, DropReason, Gateway, GatewayConfig, GatewayError,
-        QosMode, RouterConfig, RouterVerdict, TrafficClass, TrafficSplit,
+        QosMode, RouterConfig, RouterVerdict, TrafficClass,
     };
     pub use colibri_qdisc::{HtbConfig, Qdisc, QdiscStats};
     pub use colibri_host::{FlowConfig, FlowId, FlowKind, FlowManager, PacedSender};

@@ -8,164 +8,73 @@
 //! EER data. Crucially, *no bandwidth is wasted*: an underutilized class's
 //! share is scavenged by the others — in practice by best-effort traffic.
 //!
-//! The class level itself lives in `colibri-qdisc` (the hierarchy's second
-//! tier); [`TrafficClass`] is re-exported from there so the workspace has
-//! exactly one definition. [`CbwfqScheduler`] keeps the byte-level
-//! interval allocation the simulator and the protection experiment
-//! (Table 2) use, delegating the split-plus-scavenge arithmetic to
-//! [`colibri_qdisc::scavenge_allocate`] — one source of truth shared with
-//! the gateway's service rounds. Colibri data never exceeds its admitted
+//! The class level lives in `colibri-qdisc`, the second tier of the
+//! gateway's policing tree: [`TrafficClass`] is re-exported from there so
+//! the workspace has exactly one definition, the split is
+//! [`colibri_qdisc::ClassShares`], and scavenging happens in
+//! [`colibri_qdisc::Qdisc::service`]. The tests below pin the Appendix B
+//! split on that scheduler. Colibri data never exceeds its admitted
 //! reservations (the CServ guarantees ΣEERs ≤ capacity share), so strict
 //! prioritization of Colibri classes cannot starve best-effort below its
 //! floor.
 
-use colibri_base::Bandwidth;
-
 pub use colibri_qdisc::TrafficClass;
-
-/// The capacity split between classes.
-#[derive(Debug, Clone, Copy)]
-pub struct TrafficSplit {
-    /// Guaranteed minimum share for best-effort traffic (default 0.20).
-    pub best_effort: f64,
-    /// Share for Colibri control traffic (default 0.05).
-    pub control: f64,
-    /// Share for Colibri EER data (default 0.75).
-    pub data: f64,
-}
-
-impl Default for TrafficSplit {
-    fn default() -> Self {
-        Self { best_effort: 0.20, control: 0.05, data: 0.75 }
-    }
-}
-
-impl TrafficSplit {
-    /// Validates that every share is a finite non-negative number and the
-    /// shares sum to 1 (within ε). NaN fails every comparison, so it is
-    /// rejected; infinities are rejected explicitly — `+∞` on one share
-    /// with `-∞` on another would otherwise cancel inside the sum check
-    /// and admit a split that scales every allocation to garbage.
-    pub fn is_valid(&self) -> bool {
-        let shares = [self.best_effort, self.control, self.data];
-        shares.iter().all(|s| s.is_finite() && *s >= 0.0)
-            && (self.best_effort + self.control + self.data - 1.0).abs() < 1e-9
-    }
-
-    /// The guaranteed bandwidth of one class on a link of `capacity`.
-    pub fn guaranteed(&self, class: TrafficClass, capacity: Bandwidth) -> Bandwidth {
-        capacity.scale(self.share(class))
-    }
-
-    /// The fractional share of one class.
-    pub fn share(&self, class: TrafficClass) -> f64 {
-        match class {
-            TrafficClass::ColibriControl => self.control,
-            TrafficClass::ColibriData => self.data,
-            TrafficClass::BestEffort => self.best_effort,
-        }
-    }
-}
-
-/// Byte-level class-based weighted fair queueing over one interval.
-///
-/// Semantics (per scheduling interval of a link with byte budget `B`):
-///
-/// 1. every class is served up to its guaranteed share;
-/// 2. leftover budget (from classes offering less than their share) is
-///    granted in priority order control → data → best-effort, which in
-///    the common case means best-effort scavenges all unused Colibri
-///    bandwidth.
-#[derive(Debug, Clone)]
-pub struct CbwfqScheduler {
-    split: TrafficSplit,
-}
-
-/// Bytes served per class in one interval.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Served {
-    /// Colibri control bytes served.
-    pub control: u64,
-    /// Colibri data bytes served.
-    pub data: u64,
-    /// Best-effort bytes served.
-    pub best_effort: u64,
-}
-
-impl Served {
-    /// Total bytes served.
-    pub fn total(&self) -> u64 {
-        self.control + self.data + self.best_effort
-    }
-
-    /// The class-indexed array form ([`TrafficClass::index`] order).
-    fn to_array(self) -> [u64; 3] {
-        [self.control, self.data, self.best_effort]
-    }
-
-    fn from_array(a: [u64; 3]) -> Self {
-        Self { control: a[0], data: a[1], best_effort: a[2] }
-    }
-}
-
-impl CbwfqScheduler {
-    /// Creates a scheduler with the given split.
-    pub fn new(split: TrafficSplit) -> Self {
-        assert!(split.is_valid(), "traffic split must sum to 1");
-        Self { split }
-    }
-
-    /// The configured split.
-    pub fn split(&self) -> TrafficSplit {
-        self.split
-    }
-
-    /// Allocates a byte budget among the offered loads via
-    /// [`colibri_qdisc::scavenge_allocate`] (the class level of the
-    /// hierarchy — same guarantees, same scavenging order).
-    pub fn allocate(&self, budget_bytes: u64, offered: Served) -> Served {
-        let b = budget_bytes as f64;
-        let guaranteed = TrafficClass::ALL
-            .map(|c| (b * self.split.share(c)) as u64);
-        Served::from_array(colibri_qdisc::scavenge_allocate(
-            budget_bytes,
-            guaranteed,
-            offered.to_array(),
-        ))
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colibri_base::{Bandwidth, Duration, HostAddr, Instant, ResId};
+    use colibri_qdisc::{ClassShares, HtbConfig, Qdisc};
 
-    fn sched() -> CbwfqScheduler {
-        CbwfqScheduler::new(TrafficSplit::default())
+    /// Serves one interval of a link with byte budget `budget` (a full
+    /// one-second uplink bucket) over `offered` bytes per class, in
+    /// [`TrafficClass::index`] order, queued as 1000-byte packets. Returns
+    /// the bytes served per class.
+    fn one_interval(budget: u64, offered: [u64; 3]) -> [u64; 3] {
+        const PKT: u64 = 1000;
+        let t0 = Instant::from_secs(1);
+        let second = Duration::from_secs(1);
+        let cfg = HtbConfig {
+            class_burst: second,
+            res_burst: second,
+            ..HtbConfig::shaped(Bandwidth(budget * 8))
+        };
+        let mut q = Qdisc::new(cfg, t0);
+        let data_rate = Bandwidth(offered[TrafficClass::ColibriData.index()] * 8);
+        q.install(ResId(1), TrafficClass::ColibriData, data_rate, t0);
+        for class in TrafficClass::ALL {
+            let res = (class == TrafficClass::ColibriData).then_some(ResId(1));
+            for k in 0..offered[class.index()] / PKT {
+                // A fresh host every 1000 packets keeps leaves under their cap.
+                let host = HostAddr((k / 1000) as u32);
+                q.enqueue(class, res, host, PKT, t0).expect("offered load fits the leaves");
+            }
+        }
+        q.service(t0).served_bytes
     }
+
+    const CONTROL: usize = 0;
+    const DATA: usize = 1;
+    const BEST_EFFORT: usize = 2;
 
     #[test]
     fn split_validation() {
-        assert!(TrafficSplit::default().is_valid());
-        assert!(!TrafficSplit { best_effort: 0.5, control: 0.5, data: 0.5 }.is_valid());
+        assert!(ClassShares::default().is_valid());
+        assert!(!ClassShares { control: 500, data: 500, best_effort: 500 }.is_valid());
     }
 
     #[test]
     fn split_rejects_non_finite_and_negative_shares() {
-        let nan = TrafficSplit { best_effort: f64::NAN, control: 0.05, data: 0.75 };
-        assert!(!nan.is_valid(), "NaN share must be rejected");
-        // ±∞ cancel inside a naive sum check; the explicit finiteness
-        // check must catch them.
-        let inf = TrafficSplit { best_effort: f64::INFINITY, control: f64::NEG_INFINITY, data: 1.0 };
-        assert!(!inf.is_valid(), "infinite shares must be rejected");
-        let neg = TrafficSplit { best_effort: -0.2, control: 0.45, data: 0.75 };
-        assert!(!neg.is_valid(), "negative share must be rejected");
-        let inf_sum = TrafficSplit { best_effort: f64::INFINITY, control: 0.05, data: 0.75 };
-        assert!(!inf_sum.is_valid());
+        // Integer permille shares cannot be NaN, infinite or negative. The
+        // remaining cancellation hazard is wrap-around: these shares sum
+        // to 1000 in wrapping u32 arithmetic and must still be rejected.
+        let wrapped = ClassShares { control: u32::MAX, data: 1001, best_effort: 0 };
+        assert!(!wrapped.is_valid(), "wrapping share sum must be rejected");
     }
 
     #[test]
     fn guaranteed_shares() {
-        let s = TrafficSplit::default();
+        let s = ClassShares::default();
         let cap = Bandwidth::from_gbps(40);
         assert_eq!(s.guaranteed(TrafficClass::BestEffort, cap), Bandwidth::from_gbps(8));
         assert_eq!(s.guaranteed(TrafficClass::ColibriControl, cap), Bandwidth::from_gbps(2));
@@ -174,65 +83,49 @@ mod tests {
 
     #[test]
     fn underload_serves_everything() {
-        let served = sched().allocate(
-            1_000_000,
-            Served { control: 10_000, data: 500_000, best_effort: 200_000 },
-        );
-        assert_eq!(served, Served { control: 10_000, data: 500_000, best_effort: 200_000 });
+        let served = one_interval(1_000_000, [10_000, 500_000, 200_000]);
+        assert_eq!(served, [10_000, 500_000, 200_000]);
     }
 
     #[test]
     fn best_effort_scavenges_unused_colibri() {
-        // No Colibri traffic at all: best-effort gets ~the whole link
+        // No Colibri traffic at all: best-effort gets the whole link
         // ("no bandwidth is wasted", §3.4).
-        let served =
-            sched().allocate(1_000_000, Served { control: 0, data: 0, best_effort: 5_000_000 });
-        assert_eq!(served.best_effort, 1_000_000);
+        let served = one_interval(1_000_000, [0, 0, 5_000_000]);
+        assert_eq!(served[BEST_EFFORT], 1_000_000);
     }
 
     #[test]
     fn reserved_data_protected_from_best_effort_flood() {
         // Table 2 phase 1 in miniature: reserved data within its share is
         // untouched by an overwhelming best-effort load.
-        let served = sched().allocate(
-            1_000_000,
-            Served { control: 0, data: 30_000, best_effort: 100_000_000 },
-        );
-        assert_eq!(served.data, 30_000);
-        assert_eq!(served.best_effort, 970_000);
+        let served = one_interval(1_000_000, [0, 30_000, 5_000_000]);
+        assert_eq!(served[DATA], 30_000);
+        assert_eq!(served[BEST_EFFORT], 970_000);
     }
 
     #[test]
     fn data_class_capped_at_its_share_plus_leftover() {
         // Colibri data exceeding its 75% share can scavenge the unused
         // control share, but best-effort keeps its floor if it offers load.
-        let served = sched().allocate(
-            1_000_000,
-            Served { control: 0, data: 900_000, best_effort: 900_000 },
-        );
+        let served = one_interval(1_000_000, [0, 900_000, 900_000]);
         // data: 750k guaranteed + 50k scavenged from control = 800k.
-        assert_eq!(served.data, 800_000);
-        assert_eq!(served.best_effort, 200_000);
-        assert_eq!(served.total(), 1_000_000);
+        assert_eq!(served[DATA], 800_000);
+        assert_eq!(served[BEST_EFFORT], 200_000);
+        assert_eq!(served.iter().sum::<u64>(), 1_000_000);
     }
 
     #[test]
     fn control_has_top_scavenging_priority() {
-        let served = sched().allocate(
-            1_000_000,
-            Served { control: 100_000, data: 950_000, best_effort: 0 },
-        );
+        let served = one_interval(1_000_000, [100_000, 950_000, 0]);
         // control: 50k guaranteed + takes 50k of leftover before data.
-        assert_eq!(served.control, 100_000);
-        assert_eq!(served.data, 900_000);
+        assert_eq!(served[CONTROL], 100_000);
+        assert_eq!(served[DATA], 900_000);
     }
 
     #[test]
     fn never_exceeds_budget() {
-        let served = sched().allocate(
-            123_456,
-            Served { control: u64::MAX / 4, data: u64::MAX / 4, best_effort: u64::MAX / 4 },
-        );
-        assert!(served.total() <= 123_456);
+        let served = one_interval(123_456, [2_000_000; 3]);
+        assert!(served.iter().sum::<u64>() <= 123_456);
     }
 }

@@ -19,7 +19,6 @@ use colibri_base::{Bandwidth, Duration, HostAddr, Instant, ResId};
 use colibri_crypto::Cmac;
 use colibri_ctrl::OwnedEer;
 use colibri_telemetry::Registry;
-use colibri_monitor::TokenBucket;
 use colibri_qdisc::{AdmitError, HtbConfig, Qdisc, QdiscStats, TrafficClass};
 use colibri_wire::mac::{eer_hvf4_with, eer_hvf8_with, eer_hvf_with};
 use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo};
@@ -94,7 +93,6 @@ struct Entry {
     eer_info: EerInfo,
     hops: Vec<HopField>,
     versions: Vec<InstalledVersion>,
-    monitor: TokenBucket,
     /// Last timestamp issued *per version*, to guarantee uniqueness of
     /// `Ts` (the duplicate-suppression ID, §4.3). Tracked per version
     /// because `Ts` is relative to the version's `ExpT`: a renewal moves
@@ -114,45 +112,44 @@ pub struct StampedPacket {
     pub first_egress: colibri_base::InterfaceId,
 }
 
-/// How the gateway polices per-reservation bandwidth.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The shape of the gateway's policing tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QosMode {
-    /// The paper's flat per-reservation token bucket (§4.8). Default, and
-    /// the differential foil the hierarchical path is proven against.
-    #[default]
-    Flat,
     /// The four-level hierarchy of `colibri-qdisc`: uplink → class →
-    /// reservation → host, with scavenging and best-effort AQM. With
-    /// [`HtbConfig::degenerate`] the verdicts are bit-identical to
-    /// [`QosMode::Flat`] (the reservation nodes *are* the flat monitor).
+    /// reservation → host, with scavenging and best-effort AQM. The
+    /// reservation level is the paper's per-reservation token bucket
+    /// (§4.8); [`HtbConfig::default`] is the degenerate tree (no uplink,
+    /// no host caps), where it is the only level that decides.
     Hierarchical(HtbConfig),
+}
+
+impl Default for QosMode {
+    fn default() -> Self {
+        QosMode::Hierarchical(HtbConfig::default())
+    }
 }
 
 /// Gateway configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct GatewayConfig {
-    /// Token-bucket burst allowance.
+    /// Burst allowance of every reservation's token bucket. It overrides
+    /// the `res_burst` of the tree in `qos`.
     pub burst: Duration,
-    /// Bandwidth-policing mode (flat monitor or hierarchical qdisc).
+    /// The policing tree (uplink, class shares, host caps).
     pub qos: QosMode,
 }
 
 impl Default for GatewayConfig {
     fn default() -> Self {
-        Self { burst: Duration::from_millis(50), qos: QosMode::Flat }
+        Self { burst: Duration::from_millis(50), qos: QosMode::default() }
     }
 }
 
 /// The Colibri gateway of one AS.
 pub struct Gateway {
-    cfg: GatewayConfig,
     table: HashMap<ResId, Entry>,
-    /// The hierarchical QoS tree, present iff `cfg.qos` is
-    /// [`QosMode::Hierarchical`]. When present it replaces the per-entry
-    /// flat monitor as the admission authority; the entry monitors are
-    /// kept installed but not consulted, preserving the flat path as the
-    /// differential foil.
-    qdisc: Option<Qdisc>,
+    /// The policing tree: the one admission authority for every packet.
+    pub(crate) qdisc: Qdisc,
     telemetry: Option<GatewayTelemetry>,
     /// Counters for observability and the protection experiment.
     pub stats: GatewayStats,
@@ -185,25 +182,21 @@ impl GatewayStats {
 impl Gateway {
     /// An empty gateway.
     pub fn new(cfg: GatewayConfig) -> Self {
-        let qdisc = match cfg.qos {
-            QosMode::Flat => None,
-            // All buckets start full, so building the tree at the epoch is
-            // equivalent to building it at first use.
-            QosMode::Hierarchical(htb) => Some(Qdisc::new(htb, Instant::EPOCH)),
-        };
-        Self { cfg, table: HashMap::new(), qdisc, telemetry: None, stats: GatewayStats::default() }
+        let QosMode::Hierarchical(htb) = cfg.qos;
+        // All buckets start full, so building the tree at the epoch is
+        // equivalent to building it at first use.
+        let qdisc = Qdisc::new(HtbConfig { res_burst: cfg.burst, ..htb }, Instant::EPOCH);
+        Self { table: HashMap::new(), qdisc, telemetry: None, stats: GatewayStats::default() }
     }
 
     /// Attaches telemetry (outcome counters plus the Volatile per-packet
     /// stamp-latency histogram), registered under `shard` in `registry`.
     /// Detached gateways — the default — pay one predictable branch per
-    /// packet. A hierarchical gateway also registers the qdisc's per-node
-    /// drop/shed/scavenge/sojourn metrics under the same shard.
+    /// packet. The qdisc's per-node drop/shed/scavenge/sojourn metrics
+    /// register under the same shard.
     pub fn attach_telemetry(&mut self, registry: &Registry, shard: &str) {
         self.telemetry = Some(GatewayTelemetry::new(registry, shard));
-        if let Some(q) = &mut self.qdisc {
-            q.attach_telemetry(registry, shard);
-        }
+        self.qdisc.attach_telemetry(registry, shard);
     }
 
     /// Installs (or refreshes) a reservation from the CServ's owned-EER
@@ -219,10 +212,7 @@ impl Gateway {
     pub fn install(&mut self, eer: &OwnedEer, now: Instant) {
         self.stats.installs += 1;
         if eer.hop_fields.is_empty() || eer.hop_fields.len() > colibri_wire::MAX_HOPS {
-            self.table.remove(&eer.key.res_id);
-            if let Some(q) = &mut self.qdisc {
-                q.remove(eer.key.res_id);
-            }
+            self.remove(eer.key.res_id);
             return;
         }
         let versions: Vec<InstalledVersion> = eer
@@ -243,27 +233,20 @@ impl Gateway {
             })
             .collect();
         if versions.is_empty() {
-            self.table.remove(&eer.key.res_id);
-            if let Some(q) = &mut self.qdisc {
-                q.remove(eer.key.res_id);
-            }
+            self.remove(eer.key.res_id);
             return;
         }
         // The monitored rate is the maximum over live versions: using
         // several versions cannot multiply bandwidth (§4.2/§4.8).
         let rate = versions.iter().map(|v| v.bw).max().unwrap();
-        if let Some(q) = &mut self.qdisc {
-            // Renewals reconfigure the node inside: tokens carry over.
-            q.install(eer.key.res_id, TrafficClass::ColibriData, rate, now);
-        }
+        // A renewal reconfigures the reservation's bucket: accumulated
+        // tokens carry over — settled at the *old* rate, then clamped to
+        // the new depth — so a mid-stream rate change never mints a
+        // retroactive free burst (see `TokenBucket::reconfigure`).
+        self.qdisc.install(eer.key.res_id, TrafficClass::ColibriData, rate, now);
         match self.table.get_mut(&eer.key.res_id) {
             Some(entry) => {
                 entry.versions = versions;
-                // A renewal carries the accumulated bucket tokens over —
-                // settle elapsed time at the *old* rate, then clamp to the
-                // new depth — so a mid-stream rate change never mints a
-                // retroactive free burst (see `TokenBucket::reconfigure`).
-                entry.monitor.reconfigure(rate, self.cfg.burst, now);
                 // Evict replay-ordering state of versions that no longer
                 // exist (expired or superseded): their `Ts` values can
                 // never be stamped again, so keeping them only grows the
@@ -279,7 +262,6 @@ impl Gateway {
                         eer_info: eer.eer_info,
                         hops: eer.hop_fields.clone(),
                         versions,
-                        monitor: TokenBucket::with_burst_duration(rate, self.cfg.burst, now),
                         last_ts: HashMap::new(),
                     },
                 );
@@ -299,22 +281,15 @@ impl Gateway {
     /// burst state: even a malicious override cannot retroactively mint
     /// tokens for the interval before it happened.
     pub fn override_monitor_rate(&mut self, res_id: ResId, rate: Bandwidth, now: Instant) {
-        if let Some(e) = self.table.get_mut(&res_id) {
-            e.monitor.reconfigure(rate, self.cfg.burst, now);
-            if let Some(q) = &mut self.qdisc {
-                if q.rate_of(res_id).is_some() {
-                    q.install(res_id, TrafficClass::ColibriData, rate, now);
-                }
-            }
+        if self.table.contains_key(&res_id) {
+            self.qdisc.install(res_id, TrafficClass::ColibriData, rate, now);
         }
     }
 
     /// Removes a reservation.
     pub fn remove(&mut self, res_id: ResId) {
         self.table.remove(&res_id);
-        if let Some(q) = &mut self.qdisc {
-            q.remove(res_id);
-        }
+        self.qdisc.remove(res_id);
     }
 
     /// Number of installed reservations (the `r` parameter of Figs. 5–6).
@@ -322,20 +297,24 @@ impl Gateway {
         self.table.len()
     }
 
-    /// The qdisc's accumulated counters, if the gateway is hierarchical.
+    /// The qdisc's accumulated counters. Always `Some`: every gateway
+    /// polices through its qdisc (the `Option` is kept for callers written
+    /// when the tree was optional).
     pub fn qos_stats(&self) -> Option<QdiscStats> {
-        self.qdisc.as_ref().map(|q| q.stats())
+        Some(self.qdisc.stats())
     }
 
     /// Mutable access to the hierarchy (drive `enqueue`/`service` rounds,
-    /// e.g. from the simulator or the `repro_qos` bench), if configured.
+    /// e.g. from the simulator or the `repro_qos` bench). Always `Some`,
+    /// as for [`Gateway::qos_stats`].
     pub fn qdisc_mut(&mut self) -> Option<&mut Qdisc> {
-        self.qdisc.as_mut()
+        Some(&mut self.qdisc)
     }
 
-    /// Shared access to the hierarchy, if configured.
+    /// Shared access to the hierarchy. Always `Some`, as for
+    /// [`Gateway::qos_stats`].
     pub fn qdisc(&self) -> Option<&Qdisc> {
-        self.qdisc.as_ref()
+        Some(&self.qdisc)
     }
 
     /// Whether the table is empty.
@@ -409,31 +388,26 @@ impl Gateway {
             return Err(GatewayError::Expired(res_id));
         };
         let pkt_size = colibri_wire::header_len(entry.hops.len(), true) + payload.len();
-        // Deterministic monitoring (§4.8), sized by the full packet: the
-        // hierarchical tree when configured (host → reservation → class →
-        // uplink accounting), the flat per-entry bucket otherwise.
-        let admitted = match &mut self.qdisc {
-            Some(q) => match q.admit(res_id, src_host, pkt_size as u64, now) {
-                Ok(()) => true,
-                Err(AdmitError::UnknownReservation(_)) => {
-                    // Tree and table are installed/removed together; an
-                    // entry without a node means teardown raced ahead.
-                    self.stats.rejected += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.rejected.inc();
-                    }
-                    return Err(GatewayError::UnknownReservation(res_id));
+        // Deterministic monitoring (§4.8), sized by the full packet: host
+        // → reservation conformance, then class and uplink accounting.
+        match self.qdisc.admit(res_id, src_host, pkt_size as u64, now) {
+            Ok(()) => {}
+            Err(AdmitError::UnknownReservation(_)) => {
+                // Tree and table are installed/removed together; an entry
+                // without a node means teardown raced ahead.
+                self.stats.rejected += 1;
+                if let Some(t) = &self.telemetry {
+                    t.rejected.inc();
                 }
-                Err(AdmitError::RateLimited(_) | AdmitError::HostCapped(..)) => false,
-            },
-            None => entry.monitor.try_consume(pkt_size as u64, now),
-        };
-        if !admitted {
-            self.stats.rate_limited += 1;
-            if let Some(t) = &self.telemetry {
-                t.rate_limited.inc();
+                return Err(GatewayError::UnknownReservation(res_id));
             }
-            return Err(GatewayError::RateLimited(res_id));
+            Err(AdmitError::RateLimited(_) | AdmitError::HostCapped(..)) => {
+                self.stats.rate_limited += 1;
+                if let Some(t) = &self.telemetry {
+                    t.rate_limited.inc();
+                }
+                return Err(GatewayError::RateLimited(res_id));
+            }
         }
         // High-precision timestamp: ns until expiry, strictly decreasing
         // per version so every packet is unique.

@@ -2,15 +2,15 @@
 //! traffic isolation.
 //!
 //! * [`gateway`] — the stateful edge component: maps `ResId` → reservation
-//!   state, monitors deterministically, stamps timestamps and per-AS hop
-//!   validation fields (Eq. 6);
+//!   state, polices every packet through its `colibri-qdisc` tree, stamps
+//!   timestamps and per-AS hop validation fields (Eq. 6);
 //! * [`router`] — the stateless border router: validates format,
 //!   freshness, expiry, and the HVF recomputed from the AS secret, then
 //!   forwards via packet-carried state; runs the transit monitoring
 //!   pipeline;
 //! * [`control`] — stamping control packets onto SegRs with their tokens;
-//! * [`classes`] — the best-effort / control / data traffic split with
-//!   CBWFQ scavenging (Appendix B);
+//! * [`classes`] — the best-effort / control / data traffic classes
+//!   (Appendix B), scheduled and scavenged by the gateway's qdisc;
 //! * [`crypto_cache`] — bounded, eviction-safe caches that amortize the
 //!   router's Eq. 3/4 MACs and AES key expansions across packets of the
 //!   same reservation (DESIGN.md §10);
@@ -53,7 +53,7 @@ mod supervisor;
 #[path = "pool_tests/faulty.rs"]
 mod faulty;
 
-pub use classes::{CbwfqScheduler, Served, TrafficClass, TrafficSplit};
+pub use classes::TrafficClass;
 pub use control::stamp_segr_packet;
 pub use crypto_cache::{ClockCache, CryptoCacheConfig, CryptoCacheStats, RouterCryptoCaches};
 pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats, QosMode, StampedPacket};

@@ -784,17 +784,15 @@ pub enum GatewayVerdict {
 pub struct GatewayShardStats {
     /// Stamp outcome counters.
     pub gateway: GatewayStats,
-    /// Qdisc counters; `None` when the gateway polices flat. Each shard
-    /// owns a private hierarchy, so the merge is the only pool-wide view.
-    pub qos: Option<QdiscStats>,
+    /// Qdisc counters. Each shard owns a private hierarchy, so the merge
+    /// is the only pool-wide view.
+    pub qos: QdiscStats,
 }
 
 impl Merge for GatewayShardStats {
     fn merge(&mut self, other: &Self) {
         self.gateway.merge(&other.gateway);
-        if let Some(q) = &other.qos {
-            self.qos.get_or_insert_with(QdiscStats::default).merge(q);
-        }
+        self.qos.merge(&other.qos);
     }
 }
 
@@ -837,7 +835,7 @@ impl Stage for Gateway {
     }
 
     fn stats(&self) -> GatewayShardStats {
-        GatewayShardStats { gateway: self.stats, qos: self.qos_stats() }
+        GatewayShardStats { gateway: self.stats, qos: self.qdisc.stats() }
     }
 
     fn processed(stats: &GatewayShardStats) -> u64 {

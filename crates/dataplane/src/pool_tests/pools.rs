@@ -61,7 +61,10 @@ mod tests {
         assert_eq!(snap.shards, 3);
         assert_eq!(snap.stats.gateway.forwarded, 8);
         assert_eq!(snap.stats.gateway.rejected, 1);
-        assert_eq!(snap.stats.qos, None, "flat gateways report no qdisc");
+        // Every stamped packet passed its shard's qdisc; the unknown one
+        // never reached it.
+        assert_eq!(snap.stats.qos.admitted, 8);
+        assert_eq!(snap.stats.qos.rate_limited, 0);
         assert!(snap.balanced(), "{snap:?}");
     }
 

@@ -1,20 +1,25 @@
-//! Differential and regression properties of the gateway's QoS modes.
+//! Differential and regression properties of the gateway's policing.
 //!
-//! The hierarchical qdisc path is proven against the flat token-bucket
-//! path: with [`HtbConfig::degenerate`] the two must agree on *every*
-//! packet — verdicts, stamped bytes, and counters — because the qdisc's
-//! reservation nodes are literally the flat monitor. On top of the
-//! differential, regression tests pin the renewal token-carry-over
-//! semantics (a mid-stream rate change must never mint a retroactive
-//! burst) and node-count conservation under install/remove churn.
+//! The gateway polices through its `colibri-qdisc` tree. With the default
+//! (degenerate) tree it is proven against an independent oracle, the
+//! paper's flat monitoring (§4.8) written out here: one
+//! [`TokenBucket`] per reservation at the maximum rate over its live
+//! versions, with the gateway's `burst`, reconfigured (tokens carried
+//! over) on renewal and rate override. Gateway and oracle must agree on
+//! *every* packet — verdicts and counters. On top of the differential,
+//! regression tests pin the renewal token-carry-over semantics (a
+//! mid-stream rate change must never mint a retroactive burst) and
+//! node-count conservation under install/remove churn.
 
 use colibri_base::{Bandwidth, Duration, HostAddr, Instant, IsdAsId, ResId, ReservationKey};
 use colibri_crypto::Key;
 use colibri_ctrl::{OwnedEer, OwnedEerVersion};
-use colibri_dataplane::{Gateway, GatewayConfig, GatewayError, QosMode};
+use colibri_dataplane::{Gateway, GatewayConfig, GatewayError, GatewayStats, QosMode};
+use colibri_monitor::TokenBucket;
 use colibri_qdisc::HtbConfig;
 use colibri_wire::{EerInfo, HopField};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 const HOST: HostAddr = HostAddr(7);
 
@@ -36,22 +41,100 @@ fn owned(res_id: u32, versions: Vec<(u8, Bandwidth, Instant)>) -> OwnedEer {
     }
 }
 
-/// A flat gateway and a degenerate-hierarchy gateway with the same burst.
-fn pair(burst: Duration) -> (Gateway, Gateway) {
-    let flat = Gateway::new(GatewayConfig { burst, qos: QosMode::Flat });
-    let hier = Gateway::new(GatewayConfig {
-        burst,
-        qos: QosMode::Hierarchical(HtbConfig::degenerate(burst)),
-    });
-    (flat, hier)
+/// One reservation of the oracle: its flat bucket, source host, hop
+/// count and the expiries of its live versions.
+struct OracleEntry {
+    bucket: TokenBucket,
+    src_host: HostAddr,
+    hops: usize,
+    exps: Vec<Instant>,
+}
+
+/// The paper's flat per-reservation monitoring, independent of the
+/// qdisc: what a default gateway must decide for every packet.
+struct FlatOracle {
+    burst: Duration,
+    table: HashMap<ResId, OracleEntry>,
+    stats: GatewayStats,
+}
+
+impl FlatOracle {
+    fn new(burst: Duration) -> Self {
+        Self { burst, table: HashMap::new(), stats: GatewayStats::default() }
+    }
+
+    fn install(&mut self, eer: &OwnedEer, now: Instant) {
+        self.stats.installs += 1;
+        let res_id = eer.key.res_id;
+        let live: Vec<_> = eer.versions.iter().filter(|v| v.exp > now).collect();
+        let Some(rate) = live.iter().map(|v| v.bw).max() else {
+            self.table.remove(&res_id);
+            return;
+        };
+        let exps = live.iter().map(|v| v.exp).collect();
+        match self.table.get_mut(&res_id) {
+            Some(e) => {
+                e.bucket.reconfigure(rate, self.burst, now);
+                e.exps = exps;
+            }
+            None => {
+                let entry = OracleEntry {
+                    bucket: TokenBucket::with_burst_duration(rate, self.burst, now),
+                    src_host: eer.eer_info.src_host,
+                    hops: eer.hop_fields.len(),
+                    exps,
+                };
+                self.table.insert(res_id, entry);
+            }
+        }
+    }
+
+    fn override_rate(&mut self, res_id: ResId, rate: Bandwidth, now: Instant) {
+        if let Some(e) = self.table.get_mut(&res_id) {
+            e.bucket.reconfigure(rate, self.burst, now);
+        }
+    }
+
+    fn process(
+        &mut self,
+        host: HostAddr,
+        res_id: ResId,
+        payload_len: usize,
+        now: Instant,
+    ) -> Result<(), GatewayError> {
+        let verdict = match self.table.get_mut(&res_id) {
+            None => Err(GatewayError::UnknownReservation(res_id)),
+            Some(e) if e.src_host != host => Err(GatewayError::WrongHost),
+            Some(e) if !e.exps.iter().any(|exp| *exp > now) => Err(GatewayError::Expired(res_id)),
+            Some(e) => {
+                let size = colibri_wire::header_len(e.hops, true) + payload_len;
+                if e.bucket.try_consume(size as u64, now) {
+                    Ok(())
+                } else {
+                    Err(GatewayError::RateLimited(res_id))
+                }
+            }
+        };
+        match verdict {
+            Ok(()) => self.stats.forwarded += 1,
+            Err(GatewayError::RateLimited(_)) => self.stats.rate_limited += 1,
+            Err(_) => self.stats.rejected += 1,
+        }
+        verdict
+    }
+}
+
+/// A default gateway (degenerate tree) with `burst`.
+fn gateway(burst: Duration) -> Gateway {
+    Gateway::new(GatewayConfig { burst, ..Default::default() })
 }
 
 proptest! {
-    /// **Flat ≡ degenerate hierarchy**: for arbitrary reservations and
-    /// packet schedules, both modes produce the *same* per-packet result
-    /// (identical stamped bytes on success, identical error otherwise)
-    /// and the same counters. The hierarchy collapses to exactly one
-    /// `try_consume` per packet, so any divergence is a bug in the tree.
+    /// **Degenerate tree ≡ flat monitoring**: for arbitrary reservations
+    /// and packet schedules, the gateway and the flat oracle produce the
+    /// *same* per-packet verdict (success, or the identical error) and
+    /// the same counters. The tree collapses to exactly one `try_consume`
+    /// per packet, so any divergence is a bug in the tree or the gateway.
     #[test]
     fn degenerate_hierarchy_matches_flat_gateway(
         burst_ms in 1u64..200,
@@ -62,7 +145,8 @@ proptest! {
         ),
     ) {
         let burst = Duration::from_millis(burst_ms);
-        let (mut flat, mut hier) = pair(burst);
+        let mut flat = FlatOracle::new(burst);
+        let mut hier = gateway(burst);
         let t0 = Instant::from_secs(1);
         let exp = Instant::from_secs(3);
         for (i, kbps) in rates_kbps.iter().enumerate() {
@@ -78,13 +162,13 @@ proptest! {
             // `off_us` may land past expiry — error paths must agree too.
             let res = ResId(which as u32);
             let payload = vec![0xabu8; len];
-            let vf = flat.process(HOST, res, &payload, now);
-            let vh = hier.process(HOST, res, &payload, now);
-            prop_assert_eq!(vf, vh, "flat and degenerate hierarchy diverged");
+            let vf = flat.process(HOST, res, len, now);
+            let vh = hier.process(HOST, res, &payload, now).map(|_| ());
+            prop_assert_eq!(vf, vh, "gateway diverged from flat monitoring");
         }
         prop_assert_eq!(flat.stats, hier.stats);
-        // The hierarchy admitted exactly the packets the flat path forwarded.
-        let qs = hier.qos_stats().expect("hierarchical gateway has qdisc stats");
+        // The tree admitted exactly the packets the oracle forwarded.
+        let qs = hier.qos_stats().expect("every gateway has qdisc stats");
         prop_assert_eq!(qs.admitted, flat.stats.forwarded);
     }
 
@@ -101,10 +185,10 @@ proptest! {
         let rate = Bandwidth::from_kbps(rate_kbps);
         let t0 = Instant::from_secs(1);
         let exp = Instant::from_secs(10);
-        let (mut quiet, mut churny) = pair(burst);
-        // Same mode matters less than same schedule: run the renewal storm
-        // on the *hierarchical* gateway and the quiet run on flat — this
-        // folds the differential in for free.
+        let mut quiet = FlatOracle::new(burst);
+        let mut churny = gateway(burst);
+        // Run the renewal storm on the gateway and the quiet run on the
+        // flat oracle — this folds the differential in for free.
         quiet.install(&owned(1, vec![(0, rate, exp)]), t0);
         churny.install(&owned(1, vec![(0, rate, exp)]), t0);
         let mut sched = pkts;
@@ -119,7 +203,7 @@ proptest! {
                 next_renew += renew_every_us;
             }
             let payload = vec![0u8; len];
-            let vq = quiet.process(HOST, ResId(1), &payload, now).is_ok();
+            let vq = quiet.process(HOST, ResId(1), len, now).is_ok();
             let vc = churny.process(HOST, ResId(1), &payload, now).is_ok();
             prop_assert_eq!(vq, vc, "a same-rate renewal changed an admit verdict");
         }
@@ -133,11 +217,7 @@ proptest! {
     fn install_remove_churn_conserves_nodes(
         ops in prop::collection::vec((any::<bool>(), 0u32..8, 64u64..100_000), 1..200),
     ) {
-        let burst = Duration::from_millis(20);
-        let mut g = Gateway::new(GatewayConfig {
-            burst,
-            qos: QosMode::Hierarchical(HtbConfig::degenerate(burst)),
-        });
+        let mut g = gateway(Duration::from_millis(20));
         let t0 = Instant::from_secs(1);
         let exp = Instant::from_secs(100);
         let mut live = std::collections::HashSet::new();
@@ -170,6 +250,45 @@ proptest! {
     }
 }
 
+/// The trees the regression tests run on: the default (degenerate) one
+/// and a shaped uplink far above the reservation, whose class and uplink
+/// accounting must not change the reservation-level verdict.
+fn trees() -> [HtbConfig; 2] {
+    [HtbConfig::default(), HtbConfig::shaped(Bandwidth::from_gbps(100))]
+}
+
+/// A gateway and the flat oracle driven in lockstep: every packet must
+/// get the same verdict from both.
+struct Lockstep {
+    gw: Gateway,
+    oracle: FlatOracle,
+}
+
+impl Lockstep {
+    fn new(burst: Duration, htb: HtbConfig) -> Self {
+        let gw = Gateway::new(GatewayConfig { burst, qos: QosMode::Hierarchical(htb) });
+        Self { gw, oracle: FlatOracle::new(burst) }
+    }
+
+    fn install(&mut self, eer: &OwnedEer, now: Instant) {
+        self.gw.install(eer, now);
+        self.oracle.install(eer, now);
+    }
+
+    fn override_rate(&mut self, rate: Bandwidth, now: Instant) {
+        self.gw.override_monitor_rate(ResId(1), rate, now);
+        self.oracle.override_rate(ResId(1), rate, now);
+    }
+
+    /// Sends one 1000-byte packet (944 B payload + 56 B header) on
+    /// reservation 1; returns whether it was admitted.
+    fn send(&mut self, now: Instant) -> bool {
+        let v = self.gw.process(HOST, ResId(1), &[0u8; 944], now).map(|_| ());
+        assert_eq!(v, self.oracle.process(HOST, ResId(1), 944, now), "gateway != oracle");
+        v.is_ok()
+    }
+}
+
 /// Regression: a mid-stream renewal to a higher rate must *not* grant a
 /// retroactive burst. Before `TokenBucket::reconfigure`, the old
 /// `set_rate` left the last-refill timestamp unsettled, so the elapsed
@@ -185,17 +304,12 @@ fn renewal_to_higher_rate_grants_no_free_burst() {
     let t0 = Instant::from_secs(1);
     let exp = Instant::from_secs(100);
 
-    for hierarchical in [false, true] {
-        let qos = if hierarchical {
-            QosMode::Hierarchical(HtbConfig::degenerate(burst))
-        } else {
-            QosMode::Flat
-        };
-        let mut g = Gateway::new(GatewayConfig { burst, qos });
+    for htb in trees() {
+        let mut g = Lockstep::new(burst, htb);
         g.install(&owned(1, vec![(0, low, exp)]), t0);
 
         // Drain the 50 kB bucket completely at t0.
-        while g.process(HOST, ResId(1), &[0u8; 944], t0).is_ok() {}
+        while g.send(t0) {}
 
         // Idle one second (refills at the OLD 1 MB/s rate → back to the
         // old 50 kB cap), then renew to 100× the rate.
@@ -206,24 +320,22 @@ fn renewal_to_higher_rate_grants_no_free_burst() {
         // ≤50 kB — not the new 5 MB capacity, and not the 100 MB a
         // new-rate re-pricing of the idle second would mint.
         let mut admitted = 0u64;
-        while g.process(HOST, ResId(1), &[0u8; 944], t1).is_ok() {
-            admitted += 1000; // 944 B payload + 56 B header
+        while g.send(t1) {
+            admitted += 1000;
             assert!(
                 admitted <= 51_000,
-                "renewal minted a free burst ({admitted} B instantly, mode \
-                 hierarchical={hierarchical})"
+                "renewal minted a free burst ({admitted} B instantly, tree {htb:?})"
             );
         }
         assert!(
             admitted >= 49_000,
-            "carried-over tokens lost on renewal ({admitted} B, mode \
-             hierarchical={hierarchical})"
+            "carried-over tokens lost on renewal ({admitted} B, tree {htb:?})"
         );
 
         // From here the refill runs at the new rate: 10 ms buys 1 MB.
         let t2 = t1 + Duration::from_millis(10);
         let mut refilled = 0u64;
-        while g.process(HOST, ResId(1), &[0u8; 944], t2).is_ok() {
+        while g.send(t2) {
             refilled += 1000;
             assert!(refilled <= 1_001_000);
         }
@@ -231,6 +343,7 @@ fn renewal_to_higher_rate_grants_no_free_burst() {
             refilled >= 990_000,
             "new rate not in effect after renewal ({refilled} B in 10 ms)"
         );
+        assert_eq!(g.gw.stats, g.oracle.stats);
     }
 }
 
@@ -242,25 +355,18 @@ fn override_monitor_rate_carries_tokens_over() {
     let burst = Duration::from_millis(50);
     let t0 = Instant::from_secs(1);
     let exp = Instant::from_secs(100);
-    for hierarchical in [false, true] {
-        let qos = if hierarchical {
-            QosMode::Hierarchical(HtbConfig::degenerate(burst))
-        } else {
-            QosMode::Flat
-        };
-        let mut g = Gateway::new(GatewayConfig { burst, qos });
+    for htb in trees() {
+        let mut g = Lockstep::new(burst, htb);
         g.install(&owned(1, vec![(0, Bandwidth::from_mbps(8), exp)]), t0);
-        while g.process(HOST, ResId(1), &[0u8; 944], t0).is_ok() {}
+        while g.send(t0) {}
 
         let t1 = t0 + Duration::from_secs(1);
-        g.override_monitor_rate(ResId(1), Bandwidth::from_mbps(800), t1);
+        g.override_rate(Bandwidth::from_mbps(800), t1);
         let mut admitted = 0u64;
-        while g.process(HOST, ResId(1), &[0u8; 944], t1).is_ok() {
+        while g.send(t1) {
             admitted += 1000;
-            assert!(
-                admitted <= 51_000,
-                "override minted a free burst (hierarchical={hierarchical})"
-            );
+            assert!(admitted <= 51_000, "override minted a free burst (tree {htb:?})");
         }
+        assert_eq!(g.gw.stats, g.oracle.stats);
     }
 }

@@ -1,10 +1,10 @@
 //! The four-level hierarchy token bucket (DESIGN.md §16).
 //!
-//! Nodes are [`colibri_monitor::TokenBucket`]s — the *same type* that
-//! implements the paper's flat per-reservation monitoring (§4.8) — so a
-//! degenerate hierarchy (no uplink cap, no host caps) makes per-packet
-//! decisions that are bit-identical to the flat gateway path by
-//! construction: the reservation level *is* the flat monitor.
+//! Nodes are [`colibri_monitor::TokenBucket`]s — the type that implements
+//! the paper's per-reservation monitoring (§4.8) — so a degenerate
+//! hierarchy (no uplink cap, no host caps) makes exactly the per-packet
+//! decisions of one such bucket per reservation: the reservation level
+//! *is* the paper's monitor.
 //!
 //! Level roles:
 //!
@@ -80,18 +80,18 @@ impl ClassShares {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HtbConfig {
     /// Uplink capacity. `None` = unconstrained (the degenerate hierarchy:
-    /// only reservation-level conformance applies, exactly the flat path).
+    /// only reservation-level conformance applies).
     pub uplink: Option<Bandwidth>,
     /// Guaranteed class shares of the uplink.
     pub shares: ClassShares,
     /// Burst allowance of the uplink and class buckets.
     pub class_burst: Duration,
-    /// Burst allowance of reservation buckets (mirrors the flat gateway's
-    /// `GatewayConfig::burst`).
+    /// Burst allowance of reservation buckets. A gateway overrides it
+    /// with its `GatewayConfig::burst`.
     pub res_burst: Duration,
     /// Optional per-host cap inside a reservation, in permille of the
-    /// reservation's rate. `None` disables the host conformance level
-    /// (required for flat-equivalence).
+    /// reservation's rate. `None` disables the host conformance level:
+    /// no host meter is ever created.
     pub host_cap_permille: Option<u32>,
     /// Burst allowance of host-cap buckets.
     pub host_burst: Duration,
@@ -121,8 +121,8 @@ impl Default for HtbConfig {
 
 impl HtbConfig {
     /// The degenerate hierarchy: no uplink shaping, no host caps — the
-    /// admit verdict collapses to the reservation bucket alone, which is
-    /// the flat gateway monitor with burst `res_burst`.
+    /// admit verdict collapses to the reservation bucket alone, the
+    /// paper's per-reservation monitor with burst `res_burst`.
     pub fn degenerate(res_burst: Duration) -> Self {
         Self { uplink: None, host_cap_permille: None, res_burst, ..Self::default() }
     }
@@ -151,15 +151,9 @@ struct ResNode {
     class: TrafficClass,
     rate: Bandwidth,
     bucket: TokenBucket,
-    /// Host conformance meters, created lazily on first admit. The bucket
-    /// is present only when `host_cap_permille` is configured; the byte
-    /// counter always accumulates for audit/fairness inspection.
-    hosts: HashMap<HostAddr, HostMeter>,
-}
-
-struct HostMeter {
-    cap: Option<TokenBucket>,
-    admitted_bytes: u64,
+    /// Per-host cap buckets, created lazily on a host's first admit.
+    /// Stays empty (and unallocated) unless `host_cap_permille` is set.
+    hosts: HashMap<HostAddr, TokenBucket>,
 }
 
 /// Mergeable counters of everything the qdisc decided. Array fields are
@@ -331,10 +325,8 @@ impl Qdisc {
                 node.bucket.reconfigure(rate, self.cfg.res_burst, now);
                 if let Some(p) = self.cfg.host_cap_permille {
                     let host_rate = host_cap_rate(rate, p);
-                    for meter in node.hosts.values_mut() {
-                        if let Some(b) = &mut meter.cap {
-                            b.reconfigure(host_rate, self.cfg.host_burst, now);
-                        }
+                    for cap in node.hosts.values_mut() {
+                        cap.reconfigure(host_rate, self.cfg.host_burst, now);
                     }
                 }
             }
@@ -407,14 +399,12 @@ impl Qdisc {
         };
         // Host level first, *check-only*: a host-capped packet must not
         // burn reservation tokens.
-        let rate = node.rate;
-        let meter = node.hosts.entry(host).or_insert_with(|| HostMeter {
-            cap: cap_permille.map(|p| {
+        let mut host_cap = None;
+        if let Some(p) = cap_permille {
+            let rate = node.rate;
+            let cap = node.hosts.entry(host).or_insert_with(|| {
                 TokenBucket::with_burst_duration(host_cap_rate(rate, p), host_burst, now)
-            }),
-            admitted_bytes: 0,
-        });
-        if let Some(cap) = &mut meter.cap {
+            });
             if !cap.conforms(bytes, now) {
                 self.stats.host_capped += 1;
                 if let Some(t) = &self.telemetry {
@@ -422,6 +412,7 @@ impl Qdisc {
                 }
                 return Err(AdmitError::HostCapped(res_id, host));
             }
+            host_cap = Some(cap);
         }
         // Reservation level: the deterministic monitoring function.
         if !node.bucket.try_consume(bytes, now) {
@@ -433,12 +424,10 @@ impl Qdisc {
         }
         // Commit the host charge (conformance was pre-checked above, so
         // this consume always succeeds).
-        let meter = node.hosts.get_mut(&host).expect("meter just ensured");
-        if let Some(cap) = &mut meter.cap {
+        if let Some(cap) = host_cap {
             let ok = cap.try_consume(bytes, now);
             debug_assert!(ok, "host cap conformed but failed to consume");
         }
-        meter.admitted_bytes += bytes;
         Ok(node.class)
     }
 
@@ -447,9 +436,9 @@ impl Qdisc {
     /// uplink levels (saturating — inner nodes record usage for scavenge
     /// decisions, they never overrule the reservation-level verdict).
     ///
-    /// With the degenerate configuration this is *exactly* one
-    /// `TokenBucket::try_consume` on the reservation node — bit-identical
-    /// to the flat gateway monitor.
+    /// With the degenerate configuration the verdict is *exactly* one
+    /// `TokenBucket::try_consume` on the reservation node — the paper's
+    /// per-reservation monitor.
     pub fn admit(
         &mut self,
         res_id: ResId,

@@ -15,14 +15,14 @@
 //!
 //! Two facets share the tree:
 //!
-//! * **Conformance** ([`Qdisc::admit`]) — the gateway's inline per-packet
-//!   verdict. The reservation-level bucket *is* the paper's monitoring
-//!   function (§4.8); optional per-host caps subdivide a reservation
-//!   between its hosts. With the hierarchy degenerate (no uplink cap, no
-//!   host caps) the verdict sequence is **bit-identical** to the flat
-//!   [`colibri_monitor::TokenBucket`] path — the nodes *are* that type,
-//!   so equality holds by construction and is proven by differential
-//!   proptests.
+//! * **Conformance** ([`Qdisc::admit`]) — the gateway's only per-packet
+//!   policing verdict. The reservation-level bucket *is* the paper's
+//!   monitoring function (§4.8); optional per-host caps subdivide a
+//!   reservation between its hosts. With the hierarchy degenerate (no
+//!   uplink cap, no host caps) the verdict sequence is **bit-identical**
+//!   to one [`colibri_monitor::TokenBucket`] per reservation — the nodes
+//!   *are* that type, and differential proptests check the gateway
+//!   against such a test-side oracle.
 //! * **Scheduling** ([`Qdisc::enqueue`] / [`Qdisc::service`]) — a
 //!   deterministic virtual-clock uplink scheduler: strict priority across
 //!   classes (control → data → best-effort), deficit-round-robin across
@@ -84,37 +84,6 @@ impl TrafficClass {
     }
 }
 
-/// One-interval class-level allocation with scavenging: the single source
-/// of truth for the CBWFQ byte split (`CbwfqScheduler` in
-/// `colibri-dataplane` delegates here).
-///
-/// Arrays are indexed by [`TrafficClass::index`]. Semantics (per
-/// scheduling interval of a link with byte budget `budget`):
-///
-/// 1. every class is served up to its guaranteed share;
-/// 2. leftover budget (from classes offering less than their guarantee)
-///    is granted in priority order control → data → best-effort, which in
-///    the common case means best-effort scavenges all unused Colibri
-///    bandwidth.
-///
-/// The granted total never exceeds `budget` and never exceeds what was
-/// offered (no bytes out of thin air).
-pub fn scavenge_allocate(budget: u64, guaranteed: [u64; 3], offered: [u64; 3]) -> [u64; 3] {
-    let mut served = [0u64; 3];
-    for i in 0..3 {
-        served[i] = offered[i].min(guaranteed[i]);
-    }
-    let mut leftover = budget.saturating_sub(served.iter().sum());
-    // Scavenging in strict priority order.
-    for i in 0..3 {
-        let want = offered[i] - served[i];
-        let extra = want.min(leftover);
-        served[i] += extra;
-        leftover -= extra;
-    }
-    served
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,17 +93,5 @@ mod tests {
         for (i, c) in TrafficClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
-    }
-
-    #[test]
-    fn scavenge_allocate_respects_budget_and_offers() {
-        let g = [50, 750, 200];
-        let s = scavenge_allocate(1000, g, [0, 0, 5000]);
-        assert_eq!(s, [0, 0, 1000], "idle Colibri classes are fully scavenged");
-        let s = scavenge_allocate(1000, g, [100, 950, 0]);
-        assert_eq!(s[0], 100, "control scavenges first");
-        assert_eq!(s[1], 900);
-        let s = scavenge_allocate(1000, g, [u64::MAX / 4, u64::MAX / 4, u64::MAX / 4]);
-        assert!(s.iter().sum::<u64>() <= 1000);
     }
 }

@@ -100,7 +100,13 @@ struct Inner<T> {
     tail: CachePadded<AtomicUsize>,
     /// Next position the consumer will read. Relaxed; accounting only.
     head: CachePadded<AtomicUsize>,
-    closed: AtomicBool,
+    /// Set by [`Producer::close`] (and the producer's drop): no item can
+    /// follow, so an empty ring is end-of-stream.
+    producer_closed: AtomicBool,
+    /// Set by [`Consumer::close`] (and the consumer's drop): sends fail,
+    /// but a send that passed its check before the close may still land,
+    /// so the consumer keeps draining until the producer closes too.
+    consumer_closed: AtomicBool,
 }
 
 // SAFETY: `Inner<T>` is shared between exactly two threads (the
@@ -153,7 +159,8 @@ pub fn ring<T: Send>(cap: usize) -> (Producer<T>, Consumer<T>) {
         cap,
         tail: CachePadded(AtomicUsize::new(0)),
         head: CachePadded(AtomicUsize::new(0)),
-        closed: AtomicBool::new(false),
+        producer_closed: AtomicBool::new(false),
+        consumer_closed: AtomicBool::new(false),
     });
     (Producer { inner: Arc::clone(&inner), tail: 0 }, Consumer { inner, head: 0 })
 }
@@ -181,7 +188,9 @@ impl<T: Send> Producer<T> {
     /// Attempts to enqueue without blocking.
     pub fn try_send(&mut self, item: T) -> Result<(), TrySendError<T>> {
         let inner = &*self.inner;
-        if inner.closed.load(Ordering::Acquire) {
+        if inner.producer_closed.load(Ordering::Acquire)
+            || inner.consumer_closed.load(Ordering::Acquire)
+        {
             return Err(TrySendError::Closed(item));
         }
         let pos = self.tail;
@@ -234,7 +243,7 @@ impl<T: Send> Producer<T> {
     /// Closes the ring: subsequent sends fail, the consumer drains what
     /// is left and then sees end-of-stream.
     pub fn close(&self) {
-        self.inner.closed.store(true, Ordering::Release);
+        self.inner.producer_closed.store(true, Ordering::Release);
     }
 
     /// Number of items currently queued (approximate from the producer's
@@ -299,8 +308,8 @@ impl<T: Send> Consumer<T> {
 
     /// Blocks (bounded spin, then `yield_now`) until at least one item
     /// is available, then moves up to `max` items into `out`. Returns
-    /// `false` iff the ring is closed and fully drained (the consumer
-    /// should exit) — same contract as the old mutex queue.
+    /// `false` iff the producer has closed (or dropped) its end and the
+    /// ring is fully drained (the consumer should exit).
     pub fn recv_many(&mut self, out: &mut Vec<T>, max: usize) -> bool {
         let mut spins = 0u32;
         loop {
@@ -317,12 +326,14 @@ impl<T: Send> Consumer<T> {
             if got > 0 {
                 return true;
             }
-            // Empty. Check the closed flag *then* re-check the ring: any
-            // item enqueued before `close()` has its seq store ordered
-            // before the closed store (both Release from the producer
-            // side), so observing closed==true with an Acquire load and
-            // then finding the ring empty means no item can be missed.
-            if self.inner.closed.load(Ordering::Acquire) {
+            // Empty. Check the producer's closed flag *then* re-check the
+            // ring: every item the producer enqueued has its seq store
+            // ordered before its closed store (both Release, same thread),
+            // so observing producer_closed with an Acquire load and then
+            // finding the ring empty means no item can be missed. The
+            // consumer's own close is no end-of-stream: a send that read
+            // the flags before it may still be writing its item.
+            if self.inner.producer_closed.load(Ordering::Acquire) {
                 match self.try_recv() {
                     Some(item) => {
                         out.push(item);
@@ -341,10 +352,11 @@ impl<T: Send> Consumer<T> {
     }
 
     /// Closes the ring from the consumer side, unblocking a producer
-    /// stuck in [`Producer::send`] (used when the driver abandons a
-    /// worker's output).
+    /// stuck in [`Producer::send`]: further sends fail. Items already
+    /// accepted stay drainable, and [`Consumer::recv_many`] reports
+    /// end-of-stream only once the producer has closed (or dropped) too.
     pub fn close(&self) {
-        self.inner.closed.store(true, Ordering::Release);
+        self.inner.consumer_closed.store(true, Ordering::Release);
     }
 
     /// Number of items currently queued (approximate from the consumer's

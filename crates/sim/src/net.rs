@@ -74,17 +74,6 @@ impl SimPacket {
     }
 }
 
-const CLASS_ORDER: [TrafficClass; 3] =
-    [TrafficClass::ColibriControl, TrafficClass::ColibriData, TrafficClass::BestEffort];
-
-fn class_idx(c: TrafficClass) -> usize {
-    match c {
-        TrafficClass::ColibriControl => 0,
-        TrafficClass::ColibriData => 1,
-        TrafficClass::BestEffort => 2,
-    }
-}
-
 /// One directed link.
 #[derive(Debug)]
 struct Link {
@@ -290,7 +279,7 @@ impl SimNet {
             return;
         };
         let link = &mut self.links[idx];
-        let ci = class_idx(pkt.class);
+        let ci = pkt.class.index();
         let size = pkt.size() as u64;
         if link.queued_bytes[ci] + size > link.queue_cap_bytes {
             link.drops[ci] += 1;
@@ -309,8 +298,8 @@ impl SimNet {
     pub fn handle_dequeue(&mut self, idx: usize, now: Instant, q: &mut EventQueue) {
         let link = &mut self.links[idx];
         let mut popped = None;
-        for class in CLASS_ORDER {
-            let ci = class_idx(class);
+        for class in TrafficClass::ALL {
+            let ci = class.index();
             if let Some(pkt) = link.queues[ci].pop_front() {
                 link.queued_bytes[ci] -= pkt.size() as u64;
                 popped = Some(pkt);
