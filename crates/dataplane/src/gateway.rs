@@ -21,7 +21,7 @@ use colibri_ctrl::OwnedEer;
 use colibri_telemetry::Registry;
 use colibri_qdisc::{AdmitError, HtbConfig, Qdisc, QdiscStats, TrafficClass};
 use colibri_wire::mac::{eer_hvf4_with, eer_hvf8_with, eer_hvf_with};
-use colibri_wire::{EerInfo, HopField, PacketBuilder, PacketViewMut, ResInfo};
+use colibri_wire::{EerInfo, HopField, PacketViewMut, ResInfo};
 use std::collections::HashMap;
 
 /// Why the gateway refused to send a packet.
@@ -428,10 +428,10 @@ impl Gateway {
             }
         }
 
-        PacketBuilder::eer(version.res_info, entry.eer_info)
-            .path(entry.hops.iter().copied())
-            .ts(ts)
-            .build_into(payload, buf)
+        // Encode straight from the installed hops: `PacketBuilder::path`
+        // would copy them into a fresh `Vec` per packet.
+        let (res_info, eer_info) = (&version.res_info, Some(&entry.eer_info));
+        colibri_wire::encode_packet_into(res_info, eer_info, false, &entry.hops, ts, payload, buf)
             .expect("installed path is valid");
         debug_assert_eq!(buf.len(), pkt_size);
         {
