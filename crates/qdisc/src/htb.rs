@@ -76,7 +76,9 @@ impl ClassShares {
 }
 
 /// Hierarchy configuration. `Copy` so it can ride inside the gateway's
-/// config struct and across shard workers.
+/// config struct and across shard workers. The default is the degenerate
+/// hierarchy: no uplink shaping, no host caps — the admit verdict is the
+/// reservation bucket alone, the paper's per-reservation monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HtbConfig {
     /// Uplink capacity. `None` = unconstrained (the degenerate hierarchy:
@@ -120,13 +122,6 @@ impl Default for HtbConfig {
 }
 
 impl HtbConfig {
-    /// The degenerate hierarchy: no uplink shaping, no host caps — the
-    /// admit verdict collapses to the reservation bucket alone, the
-    /// paper's per-reservation monitor with burst `res_burst`.
-    pub fn degenerate(res_burst: Duration) -> Self {
-        Self { uplink: None, host_cap_permille: None, res_burst, ..Self::default() }
-    }
-
     /// A shaped uplink with the default Appendix B class split.
     pub fn shaped(uplink: Bandwidth) -> Self {
         Self { uplink: Some(uplink), ..Self::default() }
@@ -368,11 +363,6 @@ impl Qdisc {
     /// Whether the hierarchy has no reservation nodes.
     pub fn is_empty(&self) -> bool {
         self.res.is_empty()
-    }
-
-    /// The live rate of one reservation node, if present.
-    pub fn rate_of(&self, res_id: ResId) -> Option<Bandwidth> {
-        self.res.get(&res_id).map(|n| n.rate)
     }
 
     /// Accumulated counters.

@@ -10,8 +10,9 @@ use proptest::prelude::*;
 
 const HOST: HostAddr = HostAddr(1);
 
+/// The degenerate tree: no uplink, no host caps, 50 ms reservation burst.
 fn degenerate() -> HtbConfig {
-    HtbConfig::degenerate(Duration::from_millis(50))
+    HtbConfig::default()
 }
 
 /// The reservation bucket's byte capacity for a rate/burst pair — the

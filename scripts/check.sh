@@ -76,11 +76,12 @@ cargo clippy -p colibri-qdisc --all-targets -- -D warnings
 echo "==> qdisc fairness property suite (tenant isolation, no token creation, fair refill, burst ≤ capacity)"
 cargo test --release -q -p colibri-qdisc --test fairness_props
 
-echo "==> gateway QoS differential suite (flat ≡ degenerate hierarchy, renewal carries tokens, churn conserves nodes)"
+echo "==> gateway QoS differential suite (gateway ≡ flat-bucket oracle, renewal carries tokens, churn conserves nodes)"
 cargo test --release -q -p colibri-dataplane --test qos_props
 
 echo "==> repro_qos --quick --gate (reserved goodput ≥95% of entitlement under 4x best-effort" \
-     "overload with zero reserved drops; idle link scavenged ≥90%; flat ≡ degenerate in release)"
+     "overload with zero reserved drops; idle link scavenged ≥90% and ≤1+burst/T;" \
+     "gateway ≡ flat-bucket oracle in release)"
 cargo run --release -q -p colibri-bench --bin repro_qos -- \
   --quick --gate --out target/BENCH_qos.quick.json
 
