@@ -359,7 +359,8 @@ fn main() {
          \"dropped_teardown\": {}, \"be_served_bytes\": {}, \"be_codel_drops\": {}, \
          \"be_overflow_drops\": {}, \"ns_per_pkt\": {:.1}}},\n  \
          \"scavenge\": {{\"link_bytes\": {}, \"burst_bytes\": {}, \"be_served_bytes\": {}, \
-         \"fraction\": {:.6}, \"ceiling\": {:.6}, \"scavenged_bytes\": {}}},\n  \"differential_ok\": {},\n  \"merge_ok\": {}\n}}\n",
+         \"fraction\": {:.6}, \"ceiling\": {:.6}, \"scavenged_bytes\": {}}},\n  \
+         \"differential_ok\": {},\n  \"merge_ok\": {}\n}}\n",
         sc.shards,
         sc.reservations,
         sc.hosts,

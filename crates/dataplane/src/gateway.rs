@@ -298,8 +298,7 @@ impl Gateway {
     }
 
     /// The qdisc's accumulated counters. Always `Some`: every gateway
-    /// polices through its qdisc (the `Option` is kept for callers written
-    /// when the tree was optional).
+    /// polices through its qdisc.
     pub fn qos_stats(&self) -> Option<QdiscStats> {
         Some(self.qdisc.stats())
     }
@@ -651,6 +650,20 @@ mod tests {
         }
         assert!(sent < 30, "header bytes not charged: {sent} empty packets passed");
         assert!(g.stats.rate_limited > 0);
+    }
+
+    #[test]
+    fn burst_sets_reservation_bucket_depth() {
+        // 8 Mb/s = 1 MB/s: a 1 s burst admits ~1 MB at once whatever the
+        // tree's own `res_burst` says (the default's 50 ms would be 50 kB).
+        let mut g = Gateway::new(GatewayConfig { burst: Duration::from_secs(1), ..Default::default() });
+        let t0 = Instant::from_secs(0);
+        g.install(&owned(1, vec![(0, Bandwidth::from_mbps(8), Instant::from_secs(16))]), t0);
+        let mut admitted = 0u64;
+        while g.process(HOST, colibri_base::ResId(1), &[0u8; 944], t0).is_ok() {
+            admitted += 1000; // 944 B payload + 56 B header
+        }
+        assert_eq!(admitted, 1_000_000);
     }
 
     #[test]

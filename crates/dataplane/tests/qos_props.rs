@@ -41,20 +41,13 @@ fn owned(res_id: u32, versions: Vec<(u8, Bandwidth, Instant)>) -> OwnedEer {
     }
 }
 
-/// One reservation of the oracle: its flat bucket, source host, hop
-/// count and the expiries of its live versions.
-struct OracleEntry {
-    bucket: TokenBucket,
-    src_host: HostAddr,
-    hops: usize,
-    exps: Vec<Instant>,
-}
-
 /// The paper's flat per-reservation monitoring, independent of the
-/// qdisc: what a default gateway must decide for every packet.
+/// qdisc: what a default gateway must decide for every packet sent by
+/// [`HOST`] over a reservation built by [`owned`]. Each reservation is a
+/// flat bucket plus the expiries of its live versions.
 struct FlatOracle {
     burst: Duration,
-    table: HashMap<ResId, OracleEntry>,
+    table: HashMap<ResId, (TokenBucket, Vec<Instant>)>,
     stats: GatewayStats,
 }
 
@@ -73,45 +66,36 @@ impl FlatOracle {
         };
         let exps = live.iter().map(|v| v.exp).collect();
         match self.table.get_mut(&res_id) {
-            Some(e) => {
-                e.bucket.reconfigure(rate, self.burst, now);
-                e.exps = exps;
+            Some((bucket, live_exps)) => {
+                bucket.reconfigure(rate, self.burst, now);
+                *live_exps = exps;
             }
             None => {
-                let entry = OracleEntry {
-                    bucket: TokenBucket::with_burst_duration(rate, self.burst, now),
-                    src_host: eer.eer_info.src_host,
-                    hops: eer.hop_fields.len(),
-                    exps,
-                };
-                self.table.insert(res_id, entry);
+                let bucket = TokenBucket::with_burst_duration(rate, self.burst, now);
+                self.table.insert(res_id, (bucket, exps));
             }
         }
     }
 
     fn override_rate(&mut self, res_id: ResId, rate: Bandwidth, now: Instant) {
-        if let Some(e) = self.table.get_mut(&res_id) {
-            e.bucket.reconfigure(rate, self.burst, now);
+        if let Some((bucket, _)) = self.table.get_mut(&res_id) {
+            bucket.reconfigure(rate, self.burst, now);
         }
     }
 
-    fn process(
-        &mut self,
-        host: HostAddr,
-        res_id: ResId,
-        payload_len: usize,
-        now: Instant,
-    ) -> Result<(), GatewayError> {
-        let verdict = match self.table.get_mut(&res_id) {
-            None => Err(GatewayError::UnknownReservation(res_id)),
-            Some(e) if e.src_host != host => Err(GatewayError::WrongHost),
-            Some(e) if !e.exps.iter().any(|exp| *exp > now) => Err(GatewayError::Expired(res_id)),
-            Some(e) => {
-                let size = colibri_wire::header_len(e.hops, true) + payload_len;
-                if e.bucket.try_consume(size as u64, now) {
+    fn process(&mut self, res: ResId, payload_len: usize, now: Instant) -> Result<(), GatewayError> {
+        let verdict = match self.table.get_mut(&res) {
+            None => Err(GatewayError::UnknownReservation(res)),
+            Some((_, exps)) if !exps.iter().any(|exp| *exp > now) => {
+                Err(GatewayError::Expired(res))
+            }
+            Some((bucket, _)) => {
+                // `owned` paths have two hops.
+                let size = colibri_wire::header_len(2, true) + payload_len;
+                if bucket.try_consume(size as u64, now) {
                     Ok(())
                 } else {
-                    Err(GatewayError::RateLimited(res_id))
+                    Err(GatewayError::RateLimited(res))
                 }
             }
         };
@@ -162,7 +146,7 @@ proptest! {
             // `off_us` may land past expiry — error paths must agree too.
             let res = ResId(which as u32);
             let payload = vec![0xabu8; len];
-            let vf = flat.process(HOST, res, len, now);
+            let vf = flat.process(res, len, now);
             let vh = hier.process(HOST, res, &payload, now).map(|_| ());
             prop_assert_eq!(vf, vh, "gateway diverged from flat monitoring");
         }
@@ -203,7 +187,7 @@ proptest! {
                 next_renew += renew_every_us;
             }
             let payload = vec![0u8; len];
-            let vq = quiet.process(HOST, ResId(1), len, now).is_ok();
+            let vq = quiet.process(ResId(1), len, now).is_ok();
             let vc = churny.process(HOST, ResId(1), &payload, now).is_ok();
             prop_assert_eq!(vq, vc, "a same-rate renewal changed an admit verdict");
         }
@@ -284,7 +268,7 @@ impl Lockstep {
     /// reservation 1; returns whether it was admitted.
     fn send(&mut self, now: Instant) -> bool {
         let v = self.gw.process(HOST, ResId(1), &[0u8; 944], now).map(|_| ());
-        assert_eq!(v, self.oracle.process(HOST, ResId(1), 944, now), "gateway != oracle");
+        assert_eq!(v, self.oracle.process(ResId(1), 944, now), "gateway != oracle");
         v.is_ok()
     }
 }
@@ -367,6 +351,13 @@ fn override_monitor_rate_carries_tokens_over() {
             admitted += 1000;
             assert!(admitted <= 51_000, "override minted a free burst (tree {htb:?})");
         }
+        // The new rate governs the refill from here: 10 ms buys 1 MB.
+        let t2 = t1 + Duration::from_millis(10);
+        let mut refilled = 0u64;
+        while g.send(t2) {
+            refilled += 1000;
+        }
+        assert!(refilled >= 990_000, "override not in effect ({refilled} B in 10 ms)");
         assert_eq!(g.gw.stats, g.oracle.stats);
     }
 }
