@@ -200,6 +200,14 @@ struct ScavengeResult {
     scavenged_bytes: u64,
 }
 
+impl ScavengeResult {
+    /// The largest legitimate served fraction: the link's bytes over the
+    /// run plus one full uplink bucket, as a share of the link's bytes.
+    fn ceiling(&self) -> f64 {
+        (self.link_bytes + self.burst_bytes) as f64 / self.link_bytes.max(1) as f64
+    }
+}
+
 /// Phase 2: reserved classes installed but *idle* — best-effort must be
 /// granted the whole link, not just its 20% floor.
 fn scavenge_run(sc: &Scenario) -> ScavengeResult {
@@ -227,10 +235,10 @@ fn scavenge_run(sc: &Scenario) -> ScavengeResult {
     let stats = q.stats();
     let be = TrafficClass::BestEffort.index();
     let link_bytes = uplink_bytes_per_tick * sc.ticks;
-    let class_burst = sc.htb().class_burst;
+    let burst = sc.htb().class_burst;
     ScavengeResult {
         link_bytes,
-        burst_bytes: sc.uplink.as_bps() * class_burst.as_nanos() / 8 / 1_000_000_000,
+        burst_bytes: sc.uplink.as_bps() * burst.as_nanos() / 8 / 1_000_000_000,
         be_served_bytes: stats.served_bytes[be],
         fraction: stats.served_bytes[be] as f64 / link_bytes.max(1) as f64,
         scavenged_bytes: stats.scavenged_bytes[be],
@@ -288,14 +296,6 @@ fn differential_spot_check() -> bool {
         return false;
     }
     true
-}
-
-impl ScavengeResult {
-    /// The largest legitimate served fraction: the link's bytes over the
-    /// run plus one full uplink bucket, as a share of the link's bytes.
-    fn ceiling(&self) -> f64 {
-        (self.link_bytes + self.burst_bytes) as f64 / self.link_bytes.max(1) as f64
-    }
 }
 
 fn main() {
